@@ -65,9 +65,10 @@ use crate::graph::AnyOp;
 /// dataflow — cycles and transient scratch RAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
-    /// The direct output-stationary loop ([`QConv2d::execute_codes`]); the
-    /// only implementation for depthwise convolutions, pooling, the
-    /// classifier head and residual adds.
+    /// The direct output-stationary loop ([`QConv2d::execute_codes`]),
+    /// which runs depthwise layers on the depthwise fast core; the only
+    /// implementation for depthwise convolutions, pooling, the classifier
+    /// head and residual adds.
     ///
     /// [`QConv2d::execute_codes`]: crate::QConv2d::execute_codes
     DirectConv,

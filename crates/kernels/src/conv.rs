@@ -2,14 +2,20 @@ use std::sync::Mutex;
 
 use mixq_tensor::{ConvGeometry, Shape};
 
+use crate::simd::depthwise as dw;
 use crate::simd::{self, requant::RequantPlan};
 use crate::threadpool::{partition_bounds, ThreadPool, MAX_POOL_THREADS};
 use crate::{OpCounts, QActivation, QConvWeights, Requantizer};
 
-/// Largest kernel area the depthwise fast path keeps its per-pixel tap
-/// list on the stack for (5×5 and every smaller kernel; larger ones take
-/// the generic loop).
-const MAX_DW_TAPS: usize = 32;
+/// Channels per block of the depthwise fast core: the block's `(w − Zw)`
+/// operands are laid out once on the stack, and one epilogue call
+/// requantizes its accumulators.
+const DW_BLOCK: usize = 64;
+
+/// Lanes one epilogue call of a narrow depthwise layer covers: a layer of
+/// `c ≤ DW_GROUP_LANES / 2` channels requantizes `⌊DW_GROUP_LANES / c⌋`
+/// pixels per call through a plan tiled that many times.
+const DW_GROUP_LANES: usize = 32;
 
 /// An integer-only quantized convolution layer: packed weights, geometry and
 /// a requantization stage (Eq. 5 evaluates the whole
@@ -29,6 +35,54 @@ pub struct QConv2d {
     /// requantizer rewrites like `with_saturated_thresholds` can never
     /// leave a stale plan behind).
     plan: RequantPlan,
+    /// The depthwise fast core's operands, built with `plan`; `None` for
+    /// layers that run the generic loop.
+    dw: Option<Box<DwOperands>>,
+}
+
+/// Host-side operands of the depthwise fast core, a transposition of the
+/// weights and requantizer built once per layer (like [`RequantPlan`]).
+#[derive(Debug, Clone, PartialEq)]
+struct DwOperands {
+    /// `w − Zw` as `i16`, tap-pair-major and channel-interleaved over all
+    /// `C` channels — `wpairs[(p·C + co)·2 + s]` belongs to tap `2p + s` of
+    /// channel `co`, zero past the last tap — so every channel block's
+    /// operands of a tap pair are one contiguous run.
+    wpairs: Vec<i16>,
+    /// For a layer of at most `DW_GROUP_LANES / 2` channels, the plan
+    /// tiled over the `⌊DW_GROUP_LANES / C⌋` output pixels one epilogue
+    /// call requantizes, so narrow layers stop paying one call per pixel.
+    pixel_plan: Option<RequantPlan>,
+}
+
+impl DwOperands {
+    /// The operands of a layer that takes the fast core — a depthwise
+    /// kernel of at most [`dw::MAX_TAPS`] taps whose every `w − Zw` is an
+    /// `i16` — or `None`.
+    fn new(weights: &QConvWeights, geometry: ConvGeometry, plan: &RequantPlan) -> Option<Self> {
+        let c = weights.out_channels();
+        let taps = geometry.kernel_area();
+        // `w − Zw ≤ qw − Zw` is the only side that can leave `i16`.
+        let qw = weights.bits().qmax() as i32;
+        if !weights.is_depthwise()
+            || taps == 0
+            || taps > dw::MAX_TAPS
+            || (0..c).any(|co| weights.offset().at(co) < qw - i16::MAX as i32)
+        {
+            return None;
+        }
+        let codes = weights.codes();
+        let slots = taps.next_multiple_of(2);
+        let mut wpairs = vec![0i16; slots * c];
+        for (co, row) in codes.chunks_exact(taps).enumerate() {
+            let zw = weights.offset().at(co);
+            for (t, &w) in row.iter().enumerate() {
+                wpairs[((t / 2) * c + co) * 2 + t % 2] = (w as i32 - zw) as i16;
+            }
+        }
+        let pixel_plan = (c > 0 && c <= DW_GROUP_LANES / 2).then(|| plan.tiled(DW_GROUP_LANES / c));
+        Some(DwOperands { wpairs, pixel_plan })
+    }
 }
 
 impl QConv2d {
@@ -55,11 +109,13 @@ impl QConv2d {
             "weight kernel width vs geometry"
         );
         let plan = RequantPlan::new(&requant);
+        let dw = DwOperands::new(&weights, geometry, &plan).map(Box::new);
         QConv2d {
             weights,
             geometry,
             requant,
             plan,
+            dw,
         }
     }
 
@@ -144,6 +200,10 @@ impl QConv2d {
     /// abstract [`OpCounts`] ledger (which keeps pricing the deployed
     /// packed-flash reads, not the host cache).
     ///
+    /// A depthwise layer with a sub-byte input decodes it into a staging
+    /// buffer allocated here; [`QConv2d::execute_codes_pooled`] draws that
+    /// buffer from the caller instead.
+    ///
     /// # Panics
     ///
     /// See [`QConv2d::execute_codes`]; additionally panics if `wcodes` has
@@ -153,6 +213,44 @@ impl QConv2d {
         wcodes: Option<&[u8]>,
         x: &QActivation,
         out_codes: &mut Vec<u8>,
+        ops: &mut OpCounts,
+    ) -> Shape {
+        self.execute_codes_pooled(wcodes, x, out_codes, &mut Vec::new(), None, ops)
+    }
+
+    /// [`QConv2d::execute_codes_with`] with caller-owned staging (`aux`,
+    /// the arena's auxiliary buffer on the graph path) and an optional
+    /// [`ThreadPool`].
+    ///
+    /// * A depthwise layer on the fast core
+    ///   ([`crate::simd::depthwise::mac_pixels`]) with a 2- or 4-bit input
+    ///   decodes it once into the head of `aux` (the SIMD `unpack_into`
+    ///   the im2col staging uses), so every tap reads plain bytes.
+    /// * With a pool, the output channels split into contiguous blocks,
+    ///   one per worker — the direct-kernel half of the intra-walk
+    ///   parallelism (the GEMM kernels split im2col rows instead).
+    ///   Channel-interleaved NHWC output makes a worker's writes strided,
+    ///   so each worker writes its channel block as contiguous planes into
+    ///   `aux` (after the staged input) and a serial pass re-interleaves.
+    ///
+    /// Both are host-side staging copies, charged nowhere, exactly like
+    /// the prepack caches and the im2col staging: the ledger keeps charging
+    /// one unpack per sub-byte operand per MAC, as the microcontroller
+    /// pays. Bit-identical to the serial path — per-output arithmetic is
+    /// unchanged and the data-dependent ledger tallies sum over disjoint
+    /// channel ranges — for any worker count.
+    ///
+    /// # Panics
+    ///
+    /// See [`QConv2d::execute_codes_with`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute_codes_pooled(
+        &self,
+        wcodes: Option<&[u8]>,
+        x: &QActivation,
+        out_codes: &mut Vec<u8>,
+        aux: &mut Vec<u8>,
+        pool: Option<&ThreadPool>,
         ops: &mut OpCounts,
     ) -> Shape {
         if let Some(w) = wcodes {
@@ -166,112 +264,85 @@ impl QConv2d {
         // the weights are 8-bit (their packed bytes are the codes).
         let wslice: Option<&[u8]> =
             wcodes.or_else(|| (!self.weights.needs_unpack()).then(|| self.weights.as_bytes()));
-        if let Some(w) = wslice {
-            if self.dw_fast_eligible(x) {
-                return self.depthwise_fast(w, x, out_codes, ops);
-            }
-            return self.direct_loop(x, out_codes, ops, |i| w[i]);
-        }
-        self.direct_loop(x, out_codes, ops, |i| self.weights.code_at(i))
-    }
-
-    /// Whether the stack-tap depthwise fast path applies.
-    fn dw_fast_eligible(&self, x: &QActivation) -> bool {
-        self.weights.is_depthwise()
-            && !x.needs_unpack()
-            && self.geometry.kernel_area() <= MAX_DW_TAPS
-    }
-
-    /// [`QConv2d::execute_codes_with`] with an optional [`ThreadPool`]:
-    /// the output channels split into contiguous blocks, one per worker —
-    /// the direct-kernel half of the intra-walk parallelism (the GEMM
-    /// kernels split im2col rows instead). Channel-interleaved NHWC
-    /// output makes a worker's writes strided, so each worker writes its
-    /// channel block as contiguous planes into `plane_scratch` (drawn
-    /// from the arena's auxiliary buffer) and a serial pass re-interleaves
-    /// — a host-side staging copy, charged nowhere, exactly like the
-    /// prepack caches. Bit-identical to the serial path — per-output
-    /// arithmetic is unchanged and the data-dependent ledger tallies sum
-    /// over disjoint channel ranges — for any worker count.
-    ///
-    /// # Panics
-    ///
-    /// See [`QConv2d::execute_codes_with`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_codes_pooled(
-        &self,
-        wcodes: Option<&[u8]>,
-        x: &QActivation,
-        out_codes: &mut Vec<u8>,
-        plane_scratch: &mut Vec<u8>,
-        pool: Option<&ThreadPool>,
-        ops: &mut OpCounts,
-    ) -> Shape {
-        let threads = pool.map_or(1, ThreadPool::threads);
         let out_shape = self.output_shape(x.shape());
         let c = out_shape.c;
+        let volume = out_shape.volume();
+        let threads = pool.map_or(1, ThreadPool::threads);
         let mut chan_bounds = [0usize; MAX_POOL_THREADS + 1];
         let parts = if threads > 1 && c >= 2 {
             partition_bounds(c, threads, &mut chan_bounds)
         } else {
             1
         };
-        if parts <= 1 {
-            return self.execute_codes_with(wcodes, x, out_codes, ops);
+        let dw_fast = self.dw.is_some();
+        let staged = if dw_fast && x.needs_unpack() {
+            x.shape().volume()
+        } else {
+            0
+        };
+        let plane_len = if parts > 1 { volume } else { 0 };
+        // Every staged and plane byte is overwritten below: grow, never clear.
+        if aux.len() < staged + plane_len {
+            aux.resize(staged + plane_len, 0);
         }
-        if let Some(w) = wcodes {
-            assert_eq!(
-                w.len(),
-                self.weights.shape().volume(),
-                "decoded weight cache length"
-            );
-        }
-        let wslice: Option<&[u8]> =
-            wcodes.or_else(|| (!self.weights.needs_unpack()).then(|| self.weights.as_bytes()));
-        let volume = out_shape.volume();
-        let npix = volume / c;
-        plane_scratch.clear();
-        plane_scratch.resize(volume, 0);
-        let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
-        for (b, ch) in byte_bounds.iter_mut().zip(&chan_bounds).take(parts + 1) {
-            *b = ch * npix;
-        }
-        let merged = Mutex::new((0u64, 0u64, 0u64));
-        pool.expect("parts > 1 implies a pool").broadcast_slices(
-            plane_scratch.as_mut_slice(),
-            &byte_bounds[..=parts],
-            |worker, chunk| {
-                let (lo, hi) = (chan_bounds[worker], chan_bounds[worker + 1]);
-                let (mut rq, mut tc) = (0u64, 0u64);
-                let macs = match wslice {
-                    Some(w) if self.dw_fast_eligible(x) => {
-                        self.depthwise_taps(w, x, lo, hi, true, chunk, &mut rq, &mut tc)
-                    }
-                    Some(w) => {
-                        self.direct_channels(x, lo, hi, true, chunk, &mut rq, &mut tc, |i| w[i])
-                    }
-                    None => self.direct_channels(x, lo, hi, true, chunk, &mut rq, &mut tc, |i| {
-                        self.weights.code_at(i)
-                    }),
-                };
-                let mut m = merged.lock().unwrap();
-                m.0 += macs;
-                m.1 += rq;
-                m.2 += tc;
-            },
-        );
-        // Serial re-interleave of the channel planes into NHWC order.
+        let (xstage, rest) = aux.split_at_mut(staged);
+        // The fast core reads its input one code per byte: the staged
+        // decode, or an 8-bit tensor's own bytes.
+        let xcodes: &[u8] = if staged > 0 {
+            x.unpack_into(xstage);
+            xstage
+        } else {
+            x.as_bytes()
+        };
+        let fast = self.dw.as_deref().map(|ops| (ops, xcodes));
         out_codes.clear();
         out_codes.resize(volume, 0);
-        for co in 0..c {
-            let plane = &plane_scratch[co * npix..(co + 1) * npix];
-            for (pix, &v) in plane.iter().enumerate() {
-                out_codes[pix * c + co] = v;
+        let macs = if parts <= 1 {
+            self.conv_channels(
+                x,
+                fast,
+                wslice,
+                0,
+                c,
+                false,
+                out_codes.as_mut_slice(),
+                &mut ops.requants,
+                &mut ops.threshold_cmps,
+            )
+        } else {
+            let npix = volume / c;
+            let planes = &mut rest[..plane_len];
+            let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
+            for (b, ch) in byte_bounds.iter_mut().zip(&chan_bounds).take(parts + 1) {
+                *b = ch * npix;
             }
-        }
-        let (macs, rq, tc) = merged.into_inner().unwrap();
-        ops.requants += rq;
-        ops.threshold_cmps += tc;
+            let merged = Mutex::new((0u64, 0u64, 0u64));
+            pool.expect("parts > 1 implies a pool").broadcast_slices(
+                planes,
+                &byte_bounds[..=parts],
+                |worker, chunk| {
+                    let (lo, hi) = (chan_bounds[worker], chan_bounds[worker + 1]);
+                    let (mut rq, mut tc) = (0u64, 0u64);
+                    let macs =
+                        self.conv_channels(x, fast, wslice, lo, hi, true, chunk, &mut rq, &mut tc);
+                    let mut m = merged.lock().unwrap();
+                    m.0 += macs;
+                    m.1 += rq;
+                    m.2 += tc;
+                },
+            );
+            // Serial re-interleave of the channel planes into NHWC order.
+            for co in 0..c {
+                let plane = &rest[co * npix..(co + 1) * npix];
+                for (pix, &v) in plane.iter().enumerate() {
+                    out_codes[pix * c + co] = v;
+                }
+            }
+            let (macs, rq, tc) = merged.into_inner().unwrap();
+            ops.requants += rq;
+            ops.threshold_cmps += tc;
+            macs
+        };
         self.charge_direct_ledger(x, out_shape, macs, ops);
         out_shape
     }
@@ -299,49 +370,77 @@ impl QConv2d {
         }
     }
 
-    /// The depthwise fast path over a decoded weight view and an 8-bit
-    /// input: the valid-tap list (kernel offset + input byte offset) is
-    /// computed **once per output pixel** and shared across all channels,
-    /// each channel's taps are read from its contiguous decoded weight
-    /// row, and the input bytes are indexed directly — no per-MAC bounds
-    /// checks, shape math or bit extraction. Bit-identical to the generic
-    /// loop (same taps accumulated in the same order, exact `i64`
-    /// arithmetic) and charges the identical abstract ledger.
-    fn depthwise_fast(
+    /// Output channels `[co_lo, co_hi)` of the direct kernel: the
+    /// depthwise fast core when given its operands and the input codes one
+    /// per byte, the generic loop otherwise. Returns the MAC tally.
+    #[allow(clippy::too_many_arguments)]
+    fn conv_channels(
         &self,
-        wflat: &[u8],
         x: &QActivation,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> Shape {
-        let out_shape = self.output_shape(x.shape());
-        out_codes.clear();
-        out_codes.resize(out_shape.volume(), 0);
-        let macs = self.depthwise_taps(
-            wflat,
-            x,
-            0,
-            out_shape.c,
-            false,
-            out_codes.as_mut_slice(),
-            &mut ops.requants,
-            &mut ops.threshold_cmps,
-        );
-        self.charge_direct_ledger(x, out_shape, macs, ops);
-        out_shape
+        fast: Option<(&DwOperands, &[u8])>,
+        wslice: Option<&[u8]>,
+        co_lo: usize,
+        co_hi: usize,
+        plane: bool,
+        out: &mut [u8],
+        requants: &mut u64,
+        threshold_cmps: &mut u64,
+    ) -> u64 {
+        match (fast, wslice) {
+            (Some((ops, xb)), _) => self.depthwise_taps(
+                ops,
+                x,
+                xb,
+                co_lo,
+                co_hi,
+                plane,
+                out,
+                requants,
+                threshold_cmps,
+            ),
+            (None, Some(w)) => {
+                self.direct_channels(x, co_lo, co_hi, plane, out, requants, threshold_cmps, |i| {
+                    w[i]
+                })
+            }
+            (None, None) => {
+                self.direct_channels(x, co_lo, co_hi, plane, out, requants, threshold_cmps, |i| {
+                    self.weights.code_at(i)
+                })
+            }
+        }
     }
 
-    /// The depthwise fast-path core over output channels
-    /// `[co_lo, co_hi)`, writing NHWC-interleaved codes (`plane == false`,
-    /// full channel range) or contiguous per-channel planes relative to
-    /// `co_lo` (`plane == true`, the worker layout). Returns the MAC
-    /// tally; shared by the serial and channel-split paths so their
-    /// arithmetic is structurally identical.
+    /// The depthwise fast core over output channels `[co_lo, co_hi)`,
+    /// writing NHWC-interleaved codes (`plane == false`, full channel
+    /// range) or contiguous per-channel planes relative to `co_lo`
+    /// (`plane == true`, the worker layout). `xb` holds the input codes one
+    /// per byte in NHWC order. Returns the MAC tally; the serial and
+    /// channel-split paths share it, so their arithmetic is structurally
+    /// identical.
+    ///
+    /// Channels are swept in blocks of ≤ `DW_BLOCK` — the innermost,
+    /// vector axis, contiguous in NHWC — over the layer's prepared
+    /// tap-pair-major `(w − Zw)` operands. Pixels go to
+    /// [`dw::mac_pixels`] at the host's SIMD level: the interior columns of
+    /// each output row in one call (their real taps all advance by
+    /// `stride·c` input bytes), each edge column on its own; padded taps
+    /// read a row of `Zx` codes, which adds zero. Every
+    /// product and partial sum is exact in `i32` (`|x − Zx| ≤ 255`,
+    /// `|w − Zw| ≤ 2¹⁵` by the `DwOperands` gate, ≤ [`dw::MAX_TAPS`]
+    /// taps: the `depthwise-i16` and `depthwise-i32` stages of
+    /// `mixq-verify`), and integer sums are order-free, so the accumulators
+    /// equal the generic loop's `i64` ones. The vectorized epilogue then requantizes one
+    /// pixel's block per call — or, when the block is a whole layer of at
+    /// most `DW_GROUP_LANES / 2` channels, up to `⌊DW_GROUP_LANES / c⌋`
+    /// pixels at once through the tiled `pixel_plan` — bit-identical to
+    /// per-element `Requantizer::apply`, with the same ledger totals.
     #[allow(clippy::too_many_arguments)]
     fn depthwise_taps(
         &self,
-        wflat: &[u8],
+        ops: &DwOperands,
         x: &QActivation,
+        xb: &[u8],
         co_lo: usize,
         co_hi: usize,
         plane: bool,
@@ -359,133 +458,123 @@ impl QConv2d {
         let (pt, pl) = self.geometry.pad_top_left(in_shape.h, in_shape.w);
         let s = self.geometry.stride;
         let (kh, kw) = (self.geometry.kh, self.geometry.kw);
+        let (ih, iw) = (in_shape.h as isize, in_shape.w as isize);
         let taps = kh * kw;
-        let zx = x.zero_point() as i32;
-        let xb = x.as_bytes();
+        // Taps in pairs; an odd last tap's partner is a pad row.
+        let slots = taps.next_multiple_of(2);
+        let zx = x.zero_point();
         let c = in_shape.c;
         let npix = out_shape.pixels() * out_shape.n;
-
-        // Channel-block dataflow: the channel dimension is the innermost
-        // loop (the input's NHWC bytes are contiguous over it), swept in
-        // blocks of ≤ DW_BLOCK with the block's weights transposed
-        // tap-major into a stack panel once per block — so the per-tap
-        // inner loop is a straight-line span multiply-accumulate the
-        // compiler can vectorize. Per-product values fit i32
-        // (`|x−zx|·|w−zw| ≤ 255²`, ≤ MAX_DW_TAPS of them), and integer
-        // sums over the same taps in the same order make the block loop
-        // bit-identical to the per-channel formulation.
-        const DW_BLOCK: usize = 64;
         let level = simd::active_level();
-        let mut macs = 0u64;
-        let mut codes = [0u8; DW_BLOCK];
-        let mut tap_off = [0usize; MAX_DW_TAPS];
-        let mut tap_base = [0usize; MAX_DW_TAPS];
-        let mut wtr = [0u8; MAX_DW_TAPS * DW_BLOCK];
-        let mut zw_blk = [0i32; DW_BLOCK];
+        // Output columns whose taps all lie inside the input row: along
+        // a row, their padded taps (top/bottom rows) stay the same.
+        let ox_lo = pl.div_ceil(s).min(out_shape.w);
+        let ox_hi = if in_shape.w + pl >= kw {
+            ((in_shape.w + pl - kw) / s + 1).min(out_shape.w)
+        } else {
+            0
+        };
+        let zrow = [zx; DW_BLOCK];
+        let mut offs = [dw::PAD; dw::MAX_TAPS];
         let mut acc = [0i32; DW_BLOCK];
+        let mut codes = [0u8; DW_BLOCK];
+        let mut macs = 0u64;
         let mut blk_lo = co_lo;
         while blk_lo < co_hi {
-            let blk_n = DW_BLOCK.min(co_hi - blk_lo);
-            for t in 0..taps {
-                for j in 0..blk_n {
-                    wtr[t * DW_BLOCK + j] = wflat[(blk_lo + j) * taps + t];
-                }
-            }
-            for (j, z) in zw_blk.iter_mut().enumerate().take(blk_n) {
-                *z = self.weights.offset().at(blk_lo + j);
-            }
-            for n in 0..out_shape.n {
-                for oy in 0..out_shape.h {
-                    for ox in 0..out_shape.w {
-                        let mut nt = 0usize;
-                        for ky in 0..kh {
-                            let iy = (oy * s + ky) as isize - pt as isize;
-                            if iy < 0 || iy >= in_shape.h as isize {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let ix = (ox * s + kx) as isize - pl as isize;
-                                if ix < 0 || ix >= in_shape.w as isize {
-                                    continue;
-                                }
-                                tap_off[nt] = ky * kw + kx;
-                                tap_base[nt] =
-                                    ((n * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c;
-                                nt += 1;
-                            }
+            let n = DW_BLOCK.min(co_hi - blk_lo);
+            // The block's operands: pair p at wp[p·2c ..][..2n].
+            let wp = &ops.wpairs[2 * blk_lo..];
+            // One epilogue call per pixel group: several pixels when the
+            // block is a whole narrow layer (lane r·c + j is channel j).
+            let (group, rplan, rc0) = match &ops.pixel_plan {
+                Some(tiled) if n == c => (DW_GROUP_LANES / c, tiled, 0),
+                _ => (1, &self.plan, blk_lo),
+            };
+            let (mut b, mut oy, mut ox) = (0usize, 0usize, 0usize);
+            let mut pix = 0;
+            while pix < npix {
+                let g_n = group.min(npix - pix);
+                let mut g = 0;
+                while g < g_n {
+                    // A run of the row's interior columns shares one set of
+                    // real taps, advancing together; an edge column runs
+                    // alone.
+                    let run = if ox >= ox_lo && ox < ox_hi {
+                        (ox_hi - ox).min(g_n - g)
+                    } else {
+                        1
+                    };
+                    let iy0 = (oy * s) as isize - pt as isize;
+                    let ix0 = (ox * s) as isize - pl as isize;
+                    let mut real = 0;
+                    for ky in 0..kh {
+                        let iy = iy0 + ky as isize;
+                        for kx in 0..kw {
+                            let ix = ix0 + kx as isize;
+                            offs[ky * kw + kx] = if iy >= 0 && iy < ih && ix >= 0 && ix < iw {
+                                real += 1;
+                                ((b * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c
+                                    + blk_lo
+                            } else {
+                                dw::PAD
+                            };
                         }
-                        let pix = (n * out_shape.h + oy) * out_shape.w + ox;
-                        let obase = pix * c;
-                        acc[..blk_n].fill(0);
-                        for t in 0..nt {
-                            let xrow = &xb[tap_base[t] + blk_lo..tap_base[t] + blk_lo + blk_n];
-                            let wrow = &wtr[tap_off[t] * DW_BLOCK..tap_off[t] * DW_BLOCK + blk_n];
-                            for ((a, zw), (&xv, &wv)) in acc[..blk_n]
-                                .iter_mut()
-                                .zip(&zw_blk[..blk_n])
-                                .zip(xrow.iter().zip(wrow))
-                            {
-                                *a += (xv as i32 - zx) * (wv as i32 - zw);
-                            }
+                    }
+                    macs += (real * n * run) as u64;
+                    dw::mac_pixels(
+                        level,
+                        xb,
+                        &zrow,
+                        &offs[..slots],
+                        s * c,
+                        wp,
+                        2 * c,
+                        zx,
+                        n,
+                        &mut acc[g * n..(g + run) * n],
+                    );
+                    g += run;
+                    ox += run;
+                    if ox == out_shape.w {
+                        ox = 0;
+                        oy += 1;
+                        if oy == out_shape.h {
+                            oy = 0;
+                            b += 1;
                         }
-                        // Fused vectorized epilogue over the channel
-                        // block (bit-identical to per-element
-                        // `Requantizer::apply`, same ledger totals).
-                        simd::requant::apply_i32_block(
-                            &self.plan,
-                            &self.requant,
-                            level,
-                            blk_lo,
-                            &acc[..blk_n],
-                            &mut codes[..blk_n],
-                            requants,
-                            threshold_cmps,
-                        );
-                        if plane {
-                            for (j, &code) in codes[..blk_n].iter().enumerate() {
-                                out[(blk_lo + j - co_lo) * npix + pix] = code;
-                            }
-                        } else {
-                            out[obase + blk_lo..obase + blk_lo + blk_n]
-                                .copy_from_slice(&codes[..blk_n]);
-                        }
-                        macs += (nt * blk_n) as u64;
                     }
                 }
+                let m = g_n * n;
+                simd::requant::apply_i32_block(
+                    rplan,
+                    &self.requant,
+                    level,
+                    rc0,
+                    &acc[..m],
+                    &mut codes[..m],
+                    requants,
+                    threshold_cmps,
+                );
+                for (g, px_codes) in codes[..m].chunks_exact(n).enumerate() {
+                    if plane {
+                        for (j, &code) in px_codes.iter().enumerate() {
+                            out[(blk_lo + j - co_lo) * npix + pix + g] = code;
+                        }
+                    } else {
+                        let o = (pix + g) * c + blk_lo;
+                        out[o..o + n].copy_from_slice(px_codes);
+                    }
+                }
+                pix += g_n;
             }
-            blk_lo += blk_n;
+            blk_lo += n;
         }
         macs
     }
 
-    /// The direct output-stationary loop, generic over the weight reader
-    /// (decoded cache slice vs packed extraction).
-    fn direct_loop(
-        &self,
-        x: &QActivation,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-        wget: impl Fn(usize) -> u8,
-    ) -> Shape {
-        let out_shape = self.output_shape(x.shape());
-        out_codes.clear();
-        out_codes.resize(out_shape.volume(), 0);
-        let macs = self.direct_channels(
-            x,
-            0,
-            out_shape.c,
-            false,
-            out_codes.as_mut_slice(),
-            &mut ops.requants,
-            &mut ops.threshold_cmps,
-            wget,
-        );
-        self.charge_direct_ledger(x, out_shape, macs, ops);
-        out_shape
-    }
-
-    /// The generic direct-loop core over output channels `[co_lo, co_hi)`
-    /// with the same interleaved-vs-plane output convention as
+    /// The generic direct-loop core — the scalar oracle every fast path is
+    /// checked against — over output channels `[co_lo, co_hi)` with the
+    /// same interleaved-vs-plane output convention as
     /// [`QConv2d::depthwise_taps`]. Returns the MAC tally.
     #[allow(clippy::too_many_arguments)]
     fn direct_channels(

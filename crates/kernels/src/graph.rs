@@ -384,7 +384,9 @@ impl QOp for QConv2d {
 
     fn scratch_bytes(&self, choice: KernelChoice, inputs: &[Shape], in_bits: &[BitWidth]) -> usize {
         match choice {
-            // The direct loop reads the packed input in place.
+            // The direct loop reads the packed input in place (the
+            // depthwise core's sub-byte decode is host staging, priced
+            // nowhere, like the im2col path's).
             KernelChoice::DirectConv => 0,
             KernelChoice::Im2colGemm => im2col_scratch_bytes(self, inputs[0]),
             // The blocked kernel's pointwise identity fast path borrows an

@@ -50,6 +50,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+pub mod depthwise;
 pub mod requant;
 
 /// Largest patch length [`gemv2`] accepts per call: every channel's

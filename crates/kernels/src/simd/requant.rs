@@ -48,6 +48,10 @@ const PHI_CHUNK: usize = 64;
 /// contiguous vector loads. Built once per layer; building never fails —
 /// plans the vector kernels cannot express are marked non-vectorizable and
 /// every entry point then takes the scalar path.
+///
+/// A plan's lanes are the requantizer's channels, or — for a
+/// [`RequantPlan::tiled`] plan — those channels repeated, so lane `l`
+/// requantizes like channel `l mod C`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequantPlan {
     kind: PlanKind,
@@ -158,6 +162,64 @@ impl RequantPlan {
         RequantPlan { kind, zy, qmax }
     }
 
+    /// This plan repeated `reps` times over its channels: one call over
+    /// `reps·C` lanes then requantizes `reps` consecutive NHWC pixels of a
+    /// `C`-channel layer — bit-identical to `reps` per-pixel calls, with
+    /// the same ledger totals.
+    pub fn tiled(&self, reps: usize) -> RequantPlan {
+        let kind = match &self.kind {
+            PlanKind::Fixed {
+                ok,
+                bq,
+                m0,
+                shift,
+                sbias,
+            } => PlanKind::Fixed {
+                ok: *ok,
+                bq: bq.repeat(reps),
+                m0: m0.repeat(reps),
+                shift: shift.repeat(reps),
+                sbias: sbias.repeat(reps),
+            },
+            PlanKind::Thresh {
+                ok,
+                len,
+                thr_t,
+                flip,
+                empty,
+                konst,
+                cost,
+            } => {
+                let co = flip.len();
+                // Threshold `t` of every lane stays one contiguous row.
+                let thr_t = thr_t
+                    .chunks_exact(co.max(1))
+                    .flat_map(|row| row.repeat(reps))
+                    .collect();
+                let mut tiled_cost = Vec::with_capacity(co * reps + 1);
+                tiled_cost.push(0);
+                for r in 0..reps {
+                    let offset = r as u64 * cost[co];
+                    tiled_cost.extend(cost[1..].iter().map(|&c| offset + c));
+                }
+                PlanKind::Thresh {
+                    ok: *ok,
+                    len: *len,
+                    thr_t,
+                    flip: flip.repeat(reps),
+                    empty: empty.repeat(reps),
+                    konst: konst.repeat(reps),
+                    cost: tiled_cost,
+                }
+            }
+        };
+        RequantPlan {
+            kind,
+            zy: self.zy,
+            qmax: self.qmax,
+        }
+    }
+
     fn fixed_kind(bq: &[i32], mult: &[mixq_quant::FixedPointMultiplier]) -> PlanKind {
         let mut ok = true;
         let mut m0 = Vec::with_capacity(mult.len());
@@ -194,7 +256,8 @@ impl RequantPlan {
         }
     }
 
-    /// Output channels covered (mirrors [`Requantizer::channels`]).
+    /// Lanes covered: the requantizer's channels, times the repetitions of
+    /// a [`RequantPlan::tiled`] plan.
     pub fn channels(&self) -> usize {
         match &self.kind {
             PlanKind::Fixed { bq, .. } => bq.len(),
@@ -213,10 +276,11 @@ impl RequantPlan {
     }
 }
 
-/// Requantizes precomputed `Φ` values for channels `c0..c0 + phis.len()`
+/// Requantizes precomputed `Φ` values for lanes `c0..c0 + phis.len()`
 /// into output codes. Bit-identical to calling
-/// `req.apply(c0 + i, phis[i], ..)` per element, with identical ledger
-/// totals.
+/// `req.apply((c0 + i) mod C, phis[i], ..)` per element (`C` the
+/// requantizer's channels; the identity unless the plan is
+/// [`RequantPlan::tiled`]), with identical ledger totals.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_phi_block(
     plan: &RequantPlan,
@@ -233,12 +297,24 @@ pub fn apply_phi_block(
     let done = vector_phi(plan, level, c0, phis, out);
     plan.charge(c0, done, requants, cmps);
     for i in done..phis.len() {
-        out[i] = req.apply(c0 + i, phis[i], requants, cmps);
+        out[i] = req.apply(channel_of(c0 + i, req.channels()), phis[i], requants, cmps);
     }
 }
 
-/// Requantizes a block of `i32` accumulators (`Φ = acc as i64`) for channels
-/// `c0..c0 + accs.len()` — the depthwise fast-path epilogue.
+/// The channel of a `channels`-channel requantizer that plan lane `lane`
+/// stands for (`lane mod channels`, without a division on untiled plans).
+#[inline]
+fn channel_of(lane: usize, channels: usize) -> usize {
+    if lane < channels {
+        lane
+    } else {
+        lane % channels
+    }
+}
+
+/// Requantizes a block of `i32` accumulators (`Φ = acc as i64`) for lanes
+/// `c0..c0 + accs.len()` — the depthwise fast-path epilogue (see
+/// [`apply_phi_block`] for the lane-to-channel map).
 #[allow(clippy::too_many_arguments)]
 pub fn apply_i32_block(
     plan: &RequantPlan,
@@ -1363,6 +1439,57 @@ mod tests {
             apply_i32_block(&plan, &req, lv, 0, &accs, &mut got, &mut r_got, &mut c_got);
             assert_eq!(got, want, "i32 block differs at {lv:?}");
             assert_eq!((r_got, c_got), (r_ref, c_ref));
+        }
+    }
+
+    #[test]
+    fn tiled_plan_matches_per_pixel_calls() {
+        // A tiled plan over `reps` pixels of a `co`-channel layer must
+        // reproduce `reps` untiled per-pixel calls: codes and ledger, for
+        // fixed-point and threshold (vector and scalar-only) plans.
+        for (req, co) in [
+            (random_icn(5, 3, BitWidth::W8), 3),
+            (random_icn(6, 8, BitWidth::W4), 8),
+            (random_thresholds(7, 5, BitWidth::W4), 5),
+            (random_thresholds(8, 16, BitWidth::W2), 16),
+            (random_thresholds(9, 4, BitWidth::W8), 4),
+        ] {
+            let plan = RequantPlan::new(&req);
+            let reps = 64 / co;
+            let tiled = plan.tiled(reps);
+            assert_eq!(tiled.channels(), reps * co);
+            assert_eq!(tiled.vectorizable(), plan.vectorizable());
+            let mut s = co as u64;
+            let accs: Vec<i32> = (0..reps * co)
+                .map(|_| (lcg(&mut s) % 400_000) as i32 - 200_000)
+                .collect();
+            for lv in levels() {
+                let (mut r_ref, mut c_ref) = (0u64, 0u64);
+                let mut want = vec![0u8; accs.len()];
+                for (a, w) in accs.chunks(co).zip(want.chunks_mut(co)) {
+                    apply_i32_block(&plan, &req, lv, 0, a, w, &mut r_ref, &mut c_ref);
+                }
+                // Whole groups, and a trailing partial group.
+                for pixels in [reps, reps - 1] {
+                    let n = pixels * co;
+                    let (mut r_got, mut c_got) = (0u64, 0u64);
+                    let mut got = vec![0u8; n];
+                    apply_i32_block(
+                        &tiled,
+                        &req,
+                        lv,
+                        0,
+                        &accs[..n],
+                        &mut got,
+                        &mut r_got,
+                        &mut c_got,
+                    );
+                    assert_eq!(got, want[..n], "{lv:?} co={co} pixels={pixels}");
+                    if pixels == reps {
+                        assert_eq!((r_got, c_got), (r_ref, c_ref), "{lv:?} co={co}");
+                    }
+                }
+            }
         }
     }
 

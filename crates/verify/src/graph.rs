@@ -125,6 +125,63 @@ pub fn conv_phi_intervals(conv: &QConv2d, in_bits: BitWidth, zx: Interval) -> Ve
     out
 }
 
+/// The `i32` accumulator interval of the depthwise core: every partial
+/// sum of `Σ_t (x_t − Zx)·(w_t − Zw_c)` over a channel's taps, for
+/// `x_t ∈ [0, qx]` and the input zero-point ranging over `zx`.
+///
+/// When every zero-point is a code (`zx ⊆ [0, qx]`, every `Zw_c ∈ [0,
+/// qw]`), `|x − Zx| ≤ qx` and `|w − Zw| ≤ qw`, so the nominal
+/// `±taps·qx·qw` hull holds. Otherwise the bound widens from the actual
+/// weight codes: each tap adds `(x − Zx)·(w_t − Zw_c)` with `x − Zx` over
+/// its whole range (and zero, for padded taps and partial sums).
+fn depthwise_acc_interval(conv: &QConv2d, in_bits: BitWidth, zx: Interval) -> Interval {
+    let w = conv.weights();
+    let qx = in_bits.qmax() as i128;
+    let qw = w.bits().qmax() as i128;
+    let taps = conv.geometry().kernel_area();
+    let co_n = w.out_channels();
+    let codes_in_range = zx.lo() >= 0
+        && zx.hi() <= qx
+        && (0..co_n).all(|co| (0..=qw).contains(&(w.offset().at(co) as i128)));
+    if codes_in_range {
+        return Interval::new(-qx * qw, qx * qw).sum_of(taps);
+    }
+    let xd = Interval::new(-zx.hi(), qx - zx.lo());
+    let codes = w.codes();
+    (0..co_n)
+        .map(|co| {
+            let zw = w.offset().at(co) as i128;
+            codes[co * taps..(co + 1) * taps]
+                .iter()
+                .map(|&c| xd.mul_const(c as i128 - zw).hull(Interval::ZERO))
+                .fold(Interval::ZERO, Interval::add)
+        })
+        .reduce(Interval::hull)
+        .unwrap_or(Interval::ZERO)
+}
+
+/// The operand intervals the depthwise core multiplies as `i16`: the
+/// input term `x − Zx` (`x ∈ [0, qx]`, `Zx` over `zx`) and the weight term
+/// `w − Zw_c` over every code `w ∈ [0, qw]` and channel — the range the
+/// kernel's per-layer fast-path gate checks.
+fn depthwise_operand_intervals(
+    conv: &QConv2d,
+    in_bits: BitWidth,
+    zx: Interval,
+) -> (Interval, Interval) {
+    let w = conv.weights();
+    let qw = w.bits().qmax() as i128;
+    let xd = Interval::new(-zx.hi(), in_bits.qmax() as i128 - zx.lo());
+    let wd = (0..w.out_channels())
+        .map(|co| {
+            let zw = w.offset().at(co) as i128;
+            Interval::new(-zw, qw - zw)
+        })
+        .reduce(Interval::hull)
+        .unwrap_or(Interval::ZERO);
+    (xd, wd)
+}
+
 /// Per-channel `base_c = Σ W − k·Zw` values of a conv layer (the
 /// prepacked correction table), recomputed from the weight codes.
 fn conv_bases(conv: &QConv2d) -> Vec<i128> {
@@ -394,13 +451,32 @@ fn verify_conv(
     }
     let taps = conv.geometry().kernel_area() * if depthwise { 1 } else { w.in_channels() };
 
+    // The input zero-point: statically known from the producer, or any
+    // code of the input width.
+    let zx = match zp_in {
+        Some(z) => Interval::point(z.into()),
+        None => Interval::new(0, qx as i128),
+    };
+
     // i32 accumulation stage of the resolved kernel.
     let (chunk, acc) = match (depthwise, choice) {
-        // Depthwise fast path: i32 accumulator over zero-point-subtracted
-        // products, `kernel_area` taps per channel.
+        // Depthwise core: i16 operands (x − Zx, w − Zw) into an i32
+        // accumulator over `kernel_area` taps per channel.
         (true, _) => {
-            let acc =
-                Interval::new(-(qx as i128) * qw as i128, qx as i128 * qw as i128).sum_of(taps);
+            let (xd, wd) = depthwise_operand_intervals(conv, in_bits, zx);
+            for operand in [xd, wd] {
+                if !operand.fits_i16() {
+                    let (lo, hi) = operand.clamped_i64();
+                    violations.push(Violation::AccOverflow {
+                        node: name.to_string(),
+                        stage: "depthwise-i16",
+                        lo,
+                        hi,
+                        bound: "i16",
+                    });
+                }
+            }
+            let acc = depthwise_acc_interval(conv, in_bits, zx);
             if !acc.fits_i32() {
                 let (lo, hi) = acc.clamped_i64();
                 violations.push(Violation::AccOverflow {
@@ -439,10 +515,6 @@ fn verify_conv(
     };
 
     // Tight folded-Φ interval per channel, hulled for the certificate.
-    let zx = match zp_in {
-        Some(z) => Interval::point(z.into()),
-        None => Interval::new(0, qx as i128),
-    };
     let phis = conv_phi_intervals(conv, in_bits, zx);
     let phi_hull = phis
         .iter()

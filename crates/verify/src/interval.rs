@@ -109,6 +109,12 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
+    /// Whether every value fits an `i16` — the operand width of the
+    /// depthwise core's `pmaddwd`-style multiply-accumulate.
+    pub fn fits_i16(&self) -> bool {
+        self.lo >= i16::MIN as i128 && self.hi <= i16::MAX as i128
+    }
+
     /// Whether every value fits an `i32` — the bound the SIMD accumulator
     /// chunks and the requantizer's saturating `Φ + Bq` input must satisfy
     /// for the kernels to be exact (not merely non-UB).

@@ -12,9 +12,12 @@
 //!   unsigned dot-product partial sums → `i32` accumulator chunks
 //!   (including the `blocked_rows_long` chunked cold path and odd-`k`
 //!   tails) → `i64` flush with hoisted zero-point corrections → the
-//!   requantizer's saturating `Φ + Bq` input. Conv `Φ` bounds are
-//!   computed **tightly from the actual weight codes** (achievable by an
-//!   adversarial input), not from the generic `±k·qx·qw` hull.
+//!   requantizer's saturating `Φ + Bq` input; for depthwise layers, the
+//!   core's `i16` operands (`x − Zx`, `w − Zw`) and its `i32`
+//!   accumulator, widened from the actual weights whenever a zero-point
+//!   lies outside its code range. Conv `Φ` bounds are computed **tightly
+//!   from the actual weight codes** (achievable by an adversarial input),
+//!   not from the generic `±k·qx·qw` hull.
 //! * **(b) Every `RequantPlan` is SIMD-expressible or correctly gated to
 //!   scalar.** The `M0·2^N0` shift gate (`31 − N0 ≥ 0`) and the
 //!   threshold-table regularity gate (`qmax ≤ 15`, uniform lengths,

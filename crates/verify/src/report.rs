@@ -14,9 +14,9 @@ use std::fmt;
 pub enum Violation {
     /// An integer intermediate can exceed its machine width for some
     /// admissible input. `stage` names the dataflow point (e.g.
-    /// `"i32-chunk"`, `"depthwise-i32"`, `"requant-bias"`, `"logits"`);
-    /// `(lo, hi)` is the computed interval and `bound` the width it must
-    /// fit.
+    /// `"i32-chunk"`, `"depthwise-i16"`, `"depthwise-i32"`,
+    /// `"requant-bias"`, `"logits"`); `(lo, hi)` is the computed interval
+    /// and `bound` the width it must fit.
     AccOverflow {
         /// Node name.
         node: String,
@@ -26,7 +26,7 @@ pub enum Violation {
         lo: i64,
         /// Computed interval upper bound (clamped to `i64`).
         hi: i64,
-        /// The width the value must fit (`"i32"` / `"i64"`).
+        /// The width the value must fit (`"i16"` / `"i32"` / `"i64"`).
         bound: &'static str,
     },
     /// A dot-product chunk handed to `gemv2` exceeds the kernel's

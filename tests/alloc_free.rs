@@ -5,7 +5,10 @@
 //! guarantee is asserted at **batch > 1** (`quantize_input_items_pooled` +
 //! `QGraph::infer_batch`) and for the **tiled backend**, whose
 //! blocked-GEMM nodes stream their prepacked weight panels and draw the
-//! im2col expansion from the arena's auxiliary scratch.
+//! im2col expansion from the arena's auxiliary scratch. The network's
+//! depthwise node reads a **4-bit** activation, so the depthwise core's
+//! input decode staging must come from that scratch too, on both
+//! backends, at batch 1 and batch 4.
 //!
 //! This file installs a counting global allocator, so it deliberately
 //! contains a single test (parallel tests in the same binary would pollute
@@ -19,9 +22,9 @@ use std::sync::Arc;
 use mixq::core::convert::{convert, convert_with_backend, IntNetwork};
 use mixq::core::memory::QuantScheme;
 use mixq::data::{DatasetSpec, SyntheticKind};
-use mixq::kernels::{ActivationArena, OpCounts, ThreadPool, TiledBackend};
+use mixq::kernels::{ActivationArena, OpCounts, OpKind, QOp, ThreadPool, TiledBackend};
 use mixq::nn::qat::{MicroCnnSpec, QatNetwork};
-use mixq::quant::Granularity;
+use mixq::quant::{BitWidth, Granularity};
 
 struct CountingAlloc;
 
@@ -81,9 +84,22 @@ fn steady_state_inference_is_allocation_free() {
         .with_samples(4)
         .generate(7);
     let mut net = QatNetwork::build(&spec, 13);
+    // The first conv emits 4-bit codes: the depthwise block reads a
+    // sub-byte input.
+    net.set_act_bits(0, BitWidth::W4);
     net.calibrate_input(ds.images());
     net.enable_fake_quant(Granularity::PerChannel);
     let int_net = convert(&net, QuantScheme::PerChannelIcn).expect("convertible");
+    let graph = int_net.graph();
+    let (in_shape, in_bits) = graph.input_decl().expect("declared input");
+    let (_, bits) = graph.tensor_plan(in_shape, in_bits);
+    assert!(
+        graph
+            .nodes()
+            .iter()
+            .any(|n| n.op().kind() == OpKind::DepthwiseConv && bits[n.inputs()[0]] == BitWidth::W4),
+        "a depthwise node reads a 4-bit activation"
+    );
     let image = ds.sample(0).images.clone();
 
     let mut arena = ActivationArena::new();
@@ -151,6 +167,12 @@ fn steady_state_inference_is_allocation_free() {
         tiled_steady.1, batched_steady.1,
         "backends are bit-identical"
     );
+    let tiled_single = measure_batched(&tiled_net, ds.images(), 1);
+    assert_eq!(
+        tiled_single.0, 0,
+        "steady-state batch-1 tiled inference must not touch the heap"
+    );
+    assert_eq!(tiled_single.1, warm_logits, "backends are bit-identical");
 
     // Intra-walk parallelism: with a worker pool attached to the arena
     // (created once in setup, reused every walk), the split broadcasts,

@@ -22,10 +22,22 @@ fn bitwidth_strategy() -> impl Strategy<Value = BitWidth> {
     prop_oneof![Just(BitWidth::W2), Just(BitWidth::W4), Just(BitWidth::W8),]
 }
 
+/// The depthwise-input width a proptest index picks: none, or a 2-, 4- or
+/// 8-bit input to the optional depthwise layer of [`random_residual_dag`].
+fn dw_input(i: usize) -> Option<BitWidth> {
+    [
+        None,
+        Some(BitWidth::W2),
+        Some(BitWidth::W4),
+        Some(BitWidth::W8),
+    ][i % 4]
+}
+
 /// Deterministic random residual DAG shared by the equivalence proptests:
 /// a `depth`-layer conv stack (optionally capped by an identity skip), an
-/// average pool and a linear head, plus a matching batched input — the
-/// same generator family as `batch_matches_single_sample_logits`.
+/// average pool and a linear head, plus a matching batched input. With
+/// `dw_in`, a 3×3 depthwise layer follows the first conv, which then emits
+/// `dw_in`-bit codes, so the depthwise node reads a 2-, 4- or 8-bit input.
 #[allow(clippy::too_many_arguments)]
 fn random_residual_dag(
     depth: usize,
@@ -35,34 +47,49 @@ fn random_residual_dag(
     batch: usize,
     wbits: BitWidth,
     abits: BitWidth,
+    dw_in: Option<BitWidth>,
     with_skip: bool,
     tiled: bool,
     zx: u8,
     seed: u64,
 ) -> (QGraph, QActivation) {
     let input = Shape::feature_map(h, h, ch);
+    let requant = |out_bits: BitWidth| {
+        Requantizer::icn(
+            (0..ch).map(|c| c as i32 - 1).collect(),
+            (0..ch)
+                .map(|c| FixedPointMultiplier::from_real(0.02 + c as f64 * 0.004))
+                .collect(),
+            0,
+            out_bits,
+        )
+    };
+    let codes = |n: usize, salt: u64| -> Vec<u8> {
+        (0..n)
+            .map(|i| ((i as u64 * 31 + seed * 7 + salt) % wbits.levels() as u64) as u8)
+            .collect()
+    };
+    let zw = || WeightOffset::PerChannel((0..ch).map(|c| (c as i16 % 5) - 2).collect());
     let layer = |l: usize, out_bits: BitWidth| {
         let wshape = Shape::new(ch, k, k, ch);
-        let wcodes: Vec<u8> = (0..wshape.volume())
-            .map(|i| ((i as u64 * 31 + seed * 7 + l as u64) % wbits.levels() as u64) as u8)
-            .collect();
         QConv2d::new(
             QConvWeights::new(
                 wshape,
                 false,
-                &wcodes,
+                &codes(wshape.volume(), l as u64),
                 wbits,
-                WeightOffset::PerChannel((0..ch).map(|c| (c as i16 % 5) - 2).collect()),
+                zw(),
             ),
             ConvGeometry::new(k, k, 1, Padding::Same),
-            Requantizer::icn(
-                (0..ch).map(|c| c as i32 - 1).collect(),
-                (0..ch)
-                    .map(|c| FixedPointMultiplier::from_real(0.02 + c as f64 * 0.004))
-                    .collect(),
-                0,
-                out_bits,
-            ),
+            requant(out_bits),
+        )
+    };
+    let dw_layer = |out_bits: BitWidth| {
+        let wshape = Shape::new(ch, 3, 3, 1);
+        QConv2d::new(
+            QConvWeights::new(wshape, true, &codes(wshape.volume(), 99), wbits, zw()),
+            ConvGeometry::new(3, 3, 1, Padding::Same),
+            requant(out_bits),
         )
     };
     let head = QLinear::new(
@@ -79,15 +106,32 @@ fn random_residual_dag(
         None,
     );
     let mut g = QGraph::with_input(input, BitWidth::W8);
+    // Interior activations at the random precision, ending W8.
+    let layers = depth + dw_in.is_some() as usize;
+    let out_bits = |pos: usize| {
+        if pos + 1 == layers {
+            BitWidth::W8
+        } else {
+            abits
+        }
+    };
     let mut id = 0usize;
+    let mut pos = 0usize;
     for l in 0..depth {
-        id = g.push_node(
-            format!("c{l}"),
-            layer(l, if l + 1 == depth { BitWidth::W8 } else { abits }),
-            &[id],
-        );
+        let bits = match dw_in {
+            Some(b) if l == 0 => b,
+            _ => out_bits(pos),
+        };
+        id = g.push_node(format!("c{l}"), layer(l, bits), &[id]);
+        pos += 1;
+        if l == 0 && dw_in.is_some() {
+            id = g.push_node("dw", dw_layer(out_bits(pos)), &[id]);
+            pos += 1;
+        }
     }
     if with_skip {
+        // Identity residual join of the stack output with the input
+        // (same grid at stride 1 / SAME padding).
         id = g.push_node(
             "res",
             mixq::kernels::QAdd::from_scales(1.0, 1.0, 1.0, 0, 0, 0, BitWidth::W8),
@@ -107,6 +151,63 @@ fn random_residual_dag(
     }
     let xb = QActivation::from_codes(input.with_batch(batch), &stacked, BitWidth::W8, zx);
     (g, xb)
+}
+
+/// An independently written depthwise loop over the layer's public
+/// accessors: the output codes and the ledger every direct kernel must
+/// charge (one MAC, load and per-operand unpack per valid tap; one store
+/// and bias add per output; one offset subtraction per MAC for per-channel
+/// `Zw`; the requantizer's own counters).
+fn naive_depthwise(conv: &QConv2d, x: &QActivation) -> (Vec<u8>, OpCounts) {
+    let w = conv.weights();
+    let wc = w.codes();
+    let g = conv.geometry();
+    let xs = x.shape();
+    let xc = x.codes();
+    let (oh, ow) = g.output_size(xs.h, xs.w);
+    let (pt, pl) = g.pad_top_left(xs.h, xs.w);
+    let zx = x.zero_point() as i64;
+    let mut ops = OpCounts::default();
+    let mut out = Vec::with_capacity(xs.n * oh * ow * xs.c);
+    for n in 0..xs.n {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for co in 0..xs.c {
+                    let zw = w.offset().at(co) as i64;
+                    let mut acc = 0i64;
+                    for ky in 0..g.kh {
+                        for kx in 0..g.kw {
+                            let iy = (oy * g.stride + ky) as i64 - pt as i64;
+                            let ix = (ox * g.stride + kx) as i64 - pl as i64;
+                            if iy < 0 || ix < 0 || iy >= xs.h as i64 || ix >= xs.w as i64 {
+                                continue;
+                            }
+                            let xv =
+                                xc[((n * xs.h + iy as usize) * xs.w + ix as usize) * xs.c + co];
+                            let wv = wc[(co * g.kh + ky) * g.kw + kx];
+                            acc += (xv as i64 - zx) * (wv as i64 - zw);
+                            ops.macs += 1;
+                        }
+                    }
+                    out.push(conv.requant().apply(
+                        co,
+                        acc,
+                        &mut ops.requants,
+                        &mut ops.threshold_cmps,
+                    ));
+                }
+            }
+        }
+    }
+    let volume = out.len() as u64;
+    ops.act_loads = ops.macs;
+    ops.unpacks = (w.needs_unpack() as u64 + x.needs_unpack() as u64) * ops.macs;
+    ops.act_stores = volume;
+    ops.bias_adds = volume;
+    if w.offset().is_per_channel() {
+        ops.offset_subs = ops.macs;
+    }
+    (out, ops)
 }
 
 proptest! {
@@ -508,6 +609,7 @@ proptest! {
         batch in 1usize..6,
         wbits in bitwidth_strategy(),
         abits in bitwidth_strategy(),
+        dw in 0usize..4,
         with_skip in any::<bool>(),
         tiled in any::<bool>(),
         zx in 0u8..4,
@@ -517,80 +619,19 @@ proptest! {
         // N single-sample walks: logits, total ledger, and the planner's
         // batched Eq. 7 peak against the measured high-water mark.
         let input = Shape::feature_map(h, h, ch);
-        let layer = |l: usize, out_bits: BitWidth| {
-            let wshape = Shape::new(ch, k, k, ch);
-            let wcodes: Vec<u8> = (0..wshape.volume())
-                .map(|i| ((i as u64 * 31 + seed * 7 + l as u64) % wbits.levels() as u64) as u8)
-                .collect();
-            QConv2d::new(
-                QConvWeights::new(wshape, false, &wcodes, wbits,
-                                  WeightOffset::PerChannel((0..ch).map(|c| (c as i16 % 5) - 2).collect())),
-                ConvGeometry::new(k, k, 1, Padding::Same),
-                Requantizer::icn(
-                    (0..ch).map(|c| c as i32 - 1).collect(),
-                    (0..ch)
-                        .map(|c| FixedPointMultiplier::from_real(0.02 + c as f64 * 0.004))
-                        .collect(),
-                    0,
-                    out_bits,
-                ),
-            )
-        };
-        let head = QLinear::new(
-            QConvWeights::new(
-                Shape::new(3, 1, 1, ch),
-                false,
-                &(0..3 * ch).map(|i| ((i as u64 * 11 + seed) % 16) as u8).collect::<Vec<_>>(),
-                BitWidth::W4,
-                WeightOffset::PerLayer(2),
-            ),
-            vec![1, -2, 3],
-            None,
-        );
-        let mut g = QGraph::with_input(input, BitWidth::W8);
-        let mut id = 0usize;
-        for l in 0..depth {
-            id = g.push_node(
-                format!("c{l}"),
-                layer(l, if l + 1 == depth { BitWidth::W8 } else { abits }),
-                &[id],
-            );
-        }
-        if with_skip {
-            // Identity residual join of the stack output with the input
-            // (same grid at stride 1 / SAME padding).
-            id = g.push_node(
-                "res",
-                mixq::kernels::QAdd::from_scales(1.0, 1.0, 1.0, 0, 0, 0, BitWidth::W8),
-                &[id, 0],
-            );
-        }
-        let _ = id;
-        g.push("pool", mixq::kernels::QAvgPool);
-        g.push("fc", head);
-        if tiled {
-            g.select_kernels(&TiledBackend::default());
-        }
-
-        // Per-sample codes, then the same samples stacked into one batch.
-        let item = input.volume();
-        let sample_codes = |s: usize| -> Vec<u8> {
-            (0..item)
-                .map(|i| (((s * item + i) as u64 * 13 + seed) % 200) as u8)
-                .collect()
-        };
-        let mut stacked = Vec::with_capacity(batch * item);
-        for s in 0..batch {
-            stacked.extend(sample_codes(s));
-        }
+        let (g, xb) = random_residual_dag(depth, ch, h, k, batch, wbits, abits,
+                                          dw_input(dw), with_skip, tiled, zx, seed);
         let batched_shape = input.with_batch(batch);
-        let xb = QActivation::from_codes(batched_shape, &stacked, BitWidth::W8, zx);
         let run_b = g.run(xb.clone());
 
+        // The same samples, one walk each.
+        let item = input.volume();
+        let stacked = xb.codes();
         let mut single_logits = Vec::new();
         let mut single_ops = OpCounts::default();
         for s in 0..batch {
-            let xs = QActivation::from_codes(input, &sample_codes(s), BitWidth::W8, zx);
+            let xs = QActivation::from_codes(input, &stacked[s * item..(s + 1) * item],
+                                             BitWidth::W8, zx);
             let r = g.run(xs);
             single_ops += r.total_ops();
             single_logits.extend(r.logits.expect("head-terminated"));
@@ -823,6 +864,7 @@ proptest! {
         batch in 1usize..5,
         wbits in bitwidth_strategy(),
         abits in bitwidth_strategy(),
+        dw in 0usize..4,
         with_skip in any::<bool>(),
         zx in 0u8..4,
         seed in 0u64..1000,
@@ -831,11 +873,11 @@ proptest! {
         // scalar walk bit-exactly: logits AND the abstract ledger (the
         // dataflow may change, the modeled work may not). The graph is
         // lowered through the tiled backend so the blocked-GEMM/`gemv2`
-        // path — the only level-dependent kernel — is actually on the
-        // execution path.
+        // path is on the execution path, next to the depthwise core when
+        // the DAG has a depthwise layer.
         use mixq::kernels::simd;
         let (g, xb) = random_residual_dag(depth, ch, h, k, batch, wbits, abits,
-                                          with_skip, true, zx, seed);
+                                          dw_input(dw), with_skip, true, zx, seed);
         simd::set_forced(Some(SimdLevel::Scalar));
         let scalar = g.run(xb.clone());
         for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
@@ -867,18 +909,20 @@ proptest! {
         wbits in bitwidth_strategy(),
         abits in bitwidth_strategy(),
         with_skip in any::<bool>(),
+        dw in 0usize..4,
         tiled in any::<bool>(),
         threads in 2usize..5,
         zx in 0u8..4,
         seed in 0u64..1000,
     ) {
         // An intra-walk worker pool splits row blocks of each blocked GEMM
-        // across threads; the merged result — logits and ledger — must be
-        // bit-identical to the serial pooled walk of the same graph.
+        // and channel blocks of each direct conv (the depthwise core
+        // included) across threads; the merged result — logits and ledger
+        // — must be bit-identical to the serial pooled walk.
         use std::sync::Arc;
         use mixq::kernels::{ActivationArena, ThreadPool};
         let (g, xb) = random_residual_dag(depth, ch, h, k, batch, wbits, abits,
-                                          with_skip, tiled, zx, seed);
+                                          dw_input(dw), with_skip, tiled, zx, seed);
         let mut serial_arena = ActivationArena::new();
         let mut serial_logits = Vec::new();
         let mut serial_ops = OpCounts::default();
@@ -992,5 +1036,108 @@ proptest! {
             prop_assert!(b >= last);
             last = b;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn depthwise_core_matches_naive_loop(
+        k in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+        stride in 1usize..3,
+        same in any::<bool>(),
+        // Half the cases narrow enough for the pixel-grouped epilogue.
+        c in prop_oneof![1usize..17, 17usize..131],
+        h in 1usize..8,
+        batch in 1usize..3,
+        wbits in bitwidth_strategy(),
+        xbits in bitwidth_strategy(),
+        out_bits in bitwidth_strategy(),
+        per_channel in any::<bool>(),
+        kind in 0usize..3, // 0 = ICN, 1 = folded per-layer, 2 = thresholds
+        seed in 0u64..1000,
+    ) {
+        // Every route into the depthwise kernel — per-call packed weights,
+        // the decoded-weight prepack with caller staging, and the channel
+        // split over a worker pool — at every SIMD level the host runs,
+        // against an independently written naive loop: codes and ledger.
+        // Channel counts cross both the narrow-layer pixel grouping
+        // (c ≤ 32) and the 64-channel block; zero-points include Zw = −2.
+        use mixq::kernels::{simd, ThreadPool};
+        let qw = wbits.qmax() as u64;
+        let qx = xbits.qmax() as u64;
+        let h = if same { h } else { h.max(k) };
+        let wshape = Shape::new(c, k, k, 1);
+        let wcodes: Vec<u8> = (0..wshape.volume())
+            .map(|i| ((i as u64 * 37 + seed * 11) % (qw + 1)) as u8)
+            .collect();
+        let offset = if per_channel {
+            WeightOffset::PerChannel(
+                (0..c).map(|co| ((co as u64 * 7 + seed) % (qw + 3)) as i16 - 2).collect(),
+            )
+        } else {
+            WeightOffset::PerLayer((seed % (qw + 1)) as u8)
+        };
+        let zy = (seed % 3) as i32;
+        let bq: Vec<i32> = (0..c).map(|co| (co as i32 % 9 - 4) * 50).collect();
+        let requant = match kind {
+            0 => Requantizer::icn(
+                bq,
+                (0..c)
+                    .map(|co| FixedPointMultiplier::from_real(0.002 + (co % 7) as f64 * 0.003))
+                    .collect(),
+                zy,
+                out_bits,
+            ),
+            1 => Requantizer::folded(bq, FixedPointMultiplier::from_real(0.013), zy, out_bits),
+            _ => Requantizer::thresholds(
+                (0..c)
+                    .map(|co| match co % 7 {
+                        6 => ThresholdChannel::from_affine(0.0, bq[co] as i64, zy, out_bits),
+                        2 | 5 => ThresholdChannel::from_transfer(
+                            -0.004 - co as f64 * 1e-4, bq[co] as f64, zy, out_bits),
+                        _ => ThresholdChannel::from_affine(
+                            0.004 + co as f64 * 1e-4, bq[co] as i64, zy, out_bits),
+                    })
+                    .collect(),
+                zy,
+                out_bits,
+            ),
+        };
+        let padding = if same { Padding::Same } else { Padding::Valid };
+        let conv = QConv2d::new(
+            QConvWeights::new(wshape, true, &wcodes, wbits, offset),
+            ConvGeometry::new(k, k, stride, padding),
+            requant,
+        );
+        let in_shape = Shape::feature_map(h, h, c).with_batch(batch);
+        let codes: Vec<u8> = (0..in_shape.volume())
+            .map(|i| ((i as u64 * 13 + seed * 5) % (qx + 1)) as u8)
+            .collect();
+        let x = QActivation::from_codes(in_shape, &codes, xbits, (seed % (qx + 1)) as u8);
+        let (want, want_ops) = naive_depthwise(&conv, &x);
+
+        let pool = ThreadPool::new(2);
+        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
+            if !level.available() {
+                continue;
+            }
+            simd::set_forced(Some(level));
+            let mut ops = OpCounts::default();
+            let y = conv.execute(&x, &mut ops);
+            prop_assert_eq!(y.codes(), want.clone(), "{:?} codes", level);
+            prop_assert_eq!(ops, want_ops, "{:?} ledger", level);
+            for threads in [None, Some(&pool)] {
+                let (mut out, mut aux) = (Vec::new(), Vec::new());
+                let mut ops = OpCounts::default();
+                conv.execute_codes_pooled(Some(&conv.weights().codes()), &x, &mut out,
+                                          &mut aux, threads, &mut ops);
+                prop_assert_eq!(&out, &want, "{:?} pooled={} codes", level, threads.is_some());
+                prop_assert_eq!(ops, want_ops, "{:?} pooled={} ledger", level,
+                                threads.is_some());
+            }
+        }
+        simd::set_forced(None);
     }
 }

@@ -148,3 +148,101 @@ fn phi_intervals_are_tight_and_sound() {
     }
     assert!(convs_checked >= 10, "expected a deep conv stack");
 }
+
+#[test]
+fn depthwise_certificate_covers_out_of_range_zero_points() {
+    // A 3×3 W8 depthwise layer with per-channel Zw = −2: `w − Zw` reaches
+    // 257 > qw, so the nominal ±taps·qx·qw hull (±585225) would not cover
+    // the core's accumulator. The certificate must widen to the actual
+    // extreme, and the core must reach exactly that extreme, exactly, at
+    // every SIMD level the host runs.
+    use mixq::kernels::simd::depthwise::{mac_pixels, PAD};
+    use mixq::kernels::{
+        simd, OpCounts, QActivation, QConv2d, QConvWeights, QGraph, Requantizer, SimdLevel,
+        WeightOffset,
+    };
+    use mixq::quant::{BitWidth, FixedPointMultiplier};
+    use mixq::tensor::{ConvGeometry, Padding, Shape};
+
+    // 21 channels: a 16-channel AVX2 step, a 4-channel step and a scalar tail.
+    let c = 21;
+    let extreme = 9 * 255 * 257;
+    let conv = QConv2d::new(
+        QConvWeights::new(
+            Shape::new(c, 3, 3, 1),
+            true,
+            &vec![255; 9 * c],
+            BitWidth::W8,
+            WeightOffset::PerChannel(vec![-2; c]),
+        ),
+        ConvGeometry::new(3, 3, 1, Padding::Same),
+        Requantizer::icn(
+            vec![0; c],
+            vec![FixedPointMultiplier::from_real(1.0 / 8192.0); c],
+            128,
+            BitWidth::W8,
+        ),
+    );
+    let input = Shape::feature_map(3, 3, c);
+    let mut g = QGraph::with_input(input, BitWidth::W8);
+    g.push("dw", conv.clone());
+    let report = verify_graph("dw-negative-zw", &g, input, BitWidth::W8);
+    assert!(report.ok(), "{}", report.render());
+    assert_eq!(report.nodes[0].acc, (-extreme, extreme));
+
+    // The core, fed the extreme rows directly: x = 255 against Zx = 0, and
+    // x = 0 against Zx = 255, over all nine taps (plus the pad partner).
+    let w: Vec<i16> = (0..10 * c)
+        .map(|i| {
+            if i / (2 * c) == 4 && i % 2 == 1 {
+                0
+            } else {
+                257
+            }
+        })
+        .collect();
+    let taps: Vec<usize> = (0..9).map(|t| t * c).chain([PAD]).collect();
+    for (code, zx, want) in [(255u8, 0u8, extreme), (0, 255, -extreme)] {
+        let x = vec![code; 9 * c];
+        let zrow = vec![zx; c];
+        for level in [
+            SimdLevel::Scalar,
+            SimdLevel::Sse2,
+            SimdLevel::Avx2,
+            SimdLevel::Neon,
+        ] {
+            if !level.available() {
+                continue;
+            }
+            let mut acc = vec![0i32; c];
+            mac_pixels(level, &x, &zrow, &taps, 0, &w, 2 * c, zx, c, &mut acc);
+            assert!(
+                acc.iter().all(|&a| a as i64 == want),
+                "{level:?} accumulators {acc:?}, want {want}"
+            );
+        }
+    }
+
+    // And the whole layer: the centre pixel sees all nine taps at the
+    // extreme, every level agrees with the requantizer applied to the
+    // certified bound.
+    let x = QActivation::from_codes(input, &vec![255; 9 * c], BitWidth::W8, 0);
+    for level in [
+        SimdLevel::Scalar,
+        SimdLevel::Sse2,
+        SimdLevel::Avx2,
+        SimdLevel::Neon,
+    ] {
+        if !level.available() {
+            continue;
+        }
+        simd::set_forced(Some(level));
+        let y = conv.execute(&x, &mut OpCounts::default());
+        simd::set_forced(None);
+        let (mut rq, mut tc) = (0u64, 0u64);
+        for co in 0..c {
+            let want = conv.requant().apply(co, extreme, &mut rq, &mut tc);
+            assert_eq!(y.get(0, 1, 1, co), want, "{level:?} channel {co}");
+        }
+    }
+}
