@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use mixq_bench::harness::{
     backend_arg, batch_arg, bench_json_out_path, host_meta, json_array, json_out_path, rule,
-    threads_arg, write_json, JsonObject,
+    write_json, JsonObject,
 };
 use mixq_core::convert::{convert_with_backend, IntNetwork};
 use mixq_core::memory::QuantScheme;
@@ -46,24 +46,9 @@ const SWEEPS: usize = 7;
 /// samples through the pooled batched path), as samples/sec. Also returns
 /// the logits of the first batch for the bit-identity cross-check.
 fn throughput(net: &IntNetwork, images: &Tensor<f32>, batch: usize) -> (f64, Vec<i32>) {
-    throughput_threaded(net, images, batch, 1)
-}
-
-/// [`throughput`] with an intra-walk worker pool of `threads` attached to
-/// the arena (created once, outside the timed sweeps, like a deployment
-/// would).
-fn throughput_threaded(
-    net: &IntNetwork,
-    images: &Tensor<f32>,
-    batch: usize,
-    threads: usize,
-) -> (f64, Vec<i32>) {
     let n = images.shape().n;
     assert_eq!(n % batch, 0, "sweep uses full batches only");
     let mut arena = ActivationArena::new();
-    if threads > 1 {
-        arena.set_pool(std::sync::Arc::new(mixq_kernels::ThreadPool::new(threads)));
-    }
     let mut logits = Vec::new();
     let mut ops = OpCounts::default();
     let mut first_logits = Vec::new();
@@ -224,22 +209,20 @@ fn main() {
     // Whole-run summary under the bench-smoke flags.
     let flagged_backend = backend_arg();
     let flagged_batch = batch_arg();
-    let flagged_threads = threads_arg();
     let mut flagged = reference.clone();
     flagged.select_backend(&flagged_backend);
-    flagged.set_threads(flagged_threads);
     let batch = flagged_batch.min(ds.len());
     let batch = (1..=batch).rev().find(|b| ds.len() % b == 0).unwrap_or(1);
-    let (sps, flagged_first) = throughput_threaded(&flagged, ds.images(), batch, flagged_threads);
-    // Threaded walks must reproduce the serial batch-1 reference logits.
+    let (sps, flagged_first) = throughput(&flagged, ds.images(), batch);
+    // The flagged walk must reproduce the batch-1 reference logits.
     let classes = logits_at_batch1.len();
     assert_eq!(
         &flagged_first[..classes],
         &logits_at_batch1[..],
-        "threaded walk must be bit-identical to the serial logits"
+        "flagged walk must be bit-identical to the batch-1 logits"
     );
     println!(
-        "\nflagged run ({} backend, batch {batch}, threads {flagged_threads}): {sps:.1} samples/sec",
+        "\nflagged run ({} backend, batch {batch}): {sps:.1} samples/sec",
         flagged_backend.name()
     );
 
@@ -258,7 +241,7 @@ fn main() {
         let mut root = JsonObject::new();
         root.string("bench", "table_batch_throughput")
             .string("network", &format!("mobilenet_like_residual_{res}px_w4"))
-            .raw("host", host_meta(flagged_threads).render());
+            .raw("host", host_meta().render());
         let rows = thr.iter().map(|&(b, r, t)| {
             let mut obj = JsonObject::new();
             obj.int("batch", b)

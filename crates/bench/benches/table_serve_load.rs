@@ -366,7 +366,7 @@ fn main() {
         let mut root = JsonObject::new();
         root.string("bench", "table_serve_load")
             .string("model", "cnn[w8,w4] (mobilenet_like_residual 8px)")
-            .raw("host", host_meta(1).render())
+            .raw("host", host_meta().render())
             .int("requests_per_row", REQUESTS)
             .raw("latency", json_array(json_rows))
             .int("available_parallelism", cores);

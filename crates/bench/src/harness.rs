@@ -188,30 +188,6 @@ pub fn batch_arg() -> usize {
     n
 }
 
-/// The intra-walk worker-thread count selected by the bench binary's
-/// `--threads N` flag (1 when absent). Benches that execute integer
-/// graphs forward it to
-/// [`IntNetwork::set_threads`](mixq_core::convert::IntNetwork::set_threads),
-/// splitting each single graph walk's row/channel blocks across a worker
-/// pool. Logits are bit-identical across thread counts; only host
-/// wall-clock changes.
-///
-/// # Panics
-///
-/// Panics on a malformed or out-of-range thread count.
-pub fn threads_arg() -> usize {
-    let Some(v) = arg_value("--threads") else {
-        return 1;
-    };
-    let n: usize = v.parse().unwrap_or_else(|_| panic!("bad threads `{v}`"));
-    assert!(
-        (1..=mixq_kernels::MAX_POOL_THREADS).contains(&n),
-        "threads must be in 1..={}",
-        mixq_kernels::MAX_POOL_THREADS
-    );
-    n
-}
-
 /// Host parallelism as a plain count (1 when the OS cannot say).
 ///
 /// This is the single gate every multicore speedup target goes through:
@@ -240,9 +216,9 @@ pub fn gated_target(obj: &mut JsonObject, key: &str, met: bool, required_cores: 
 /// Host-environment metadata stamped into **measured** bench JSON
 /// (`--bench-json` outputs only — the deterministic goldens never include
 /// it): compiler target, detected/active SIMD level, CPU features the
-/// dispatcher probes, and the thread configuration. Keys are stable so the
+/// dispatcher probes, and the host's core count. Keys are stable so the
 /// perf-trajectory tooling can attribute throughput shifts to host changes.
-pub fn host_meta(threads: usize) -> JsonObject {
+pub fn host_meta() -> JsonObject {
     let mut meta = JsonObject::new();
     // `scripts/bench-report.sh` exports the exact `rustc -vV` host triple;
     // fall back to a coarse arch-os stamp when run outside the script.
@@ -255,7 +231,6 @@ pub fn host_meta(threads: usize) -> JsonObject {
         .map(|f| format!("\"{f}\""))
         .collect();
     meta.raw("cpu_features", json_array(features));
-    meta.int("threads", threads);
     meta.int("available_parallelism", available_cores());
     meta
 }

@@ -15,13 +15,11 @@
 //! the weights per layer (PL+FB), stored per channel (PL+ICN / PC+ICN), or
 //! expanded into exact integer thresholds (PC+Thresholds).
 
-use std::sync::Arc;
-
 use mixq_data::Dataset;
 use mixq_kernels::{
     ActivationArena, AnyOp, Backend, GraphRun, KernelChoice, OpCounts, QActivation, QAdd, QAvgPool,
-    QConv2d, QConvWeights, QGraph, QLinear, ReferenceBackend, Requantizer, ThreadPool,
-    ThresholdChannel, WeightOffset, MAX_POOL_THREADS,
+    QConv2d, QConvWeights, QGraph, QLinear, ReferenceBackend, Requantizer, ThresholdChannel,
+    WeightOffset,
 };
 use mixq_nn::qat::{ConvBlock, QatMode, QatNetwork};
 use mixq_nn::ConvKind;
@@ -49,10 +47,6 @@ pub struct IntNetwork {
     input_shape: Shape,
     graph: QGraph,
     scheme: QuantScheme,
-    /// Worker threads each single graph walk splits its row/channel blocks
-    /// across (1 = serial). A host-throughput knob only: logits, op counts
-    /// and modeled MCU cycles are bit-identical at every setting.
-    threads: usize,
 }
 
 impl IntNetwork {
@@ -135,46 +129,6 @@ impl IntNetwork {
             });
         }
         Ok(shape.n)
-    }
-
-    /// Worker threads used *inside* each graph walk (see
-    /// [`IntNetwork::set_threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the number of worker threads each single graph walk splits its
-    /// im2col row blocks (GEMM paths) and output-channel blocks (direct /
-    /// depthwise paths) across. `1` (the default) keeps every walk serial.
-    ///
-    /// This is intra-walk parallelism — orthogonal to
-    /// [`IntNetwork::evaluate_parallel_batch`], which shards *batches*
-    /// across threads with serial walks. Don't multiply the two: the
-    /// product is the total thread count.
-    ///
-    /// Logits, `OpCounts` and modeled MCU cycles are bit-identical at
-    /// every setting (asserted by the threading proptests); only host
-    /// wall-clock changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or exceeds
-    /// [`MAX_POOL_THREADS`].
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(
-            (1..=MAX_POOL_THREADS).contains(&threads),
-            "threads must be in 1..={MAX_POOL_THREADS}, got {threads}"
-        );
-        self.threads = threads;
-    }
-
-    /// Attaches a fresh worker pool to `arena` when `threads > 1` — one
-    /// pool per evaluation call, reused across every walk that shares the
-    /// arena, so steady state stays allocation-free.
-    fn attach_pool(&self, arena: &mut ActivationArena) {
-        if self.threads > 1 {
-            arena.set_pool(Arc::new(ThreadPool::new(self.threads)));
-        }
     }
 
     /// The kernel implementation each graph node resolved to, in schedule
@@ -355,7 +309,6 @@ impl IntNetwork {
     pub fn infer_batch(&self, images: &Tensor<f32>) -> (Vec<Vec<i32>>, OpCounts) {
         let batch = images.shape().n;
         let mut arena = ActivationArena::new();
-        self.attach_pool(&mut arena);
         let mut logits = Vec::new();
         let mut ops = OpCounts::default();
         let x = self.quantize_input_items_pooled(images, 0, batch, &mut arena);
@@ -393,7 +346,6 @@ impl IntNetwork {
             return (0.0, ops);
         }
         let mut arena = ActivationArena::new();
-        self.attach_pool(&mut arena);
         let mut logits = Vec::new();
         let mut correct = 0usize;
         let n = dataset.len();
@@ -431,10 +383,6 @@ impl IntNetwork {
     /// final batch of the dataset may be partial). Accuracy and `OpCounts`
     /// are identical to the sequential path — batches are disjoint and the
     /// ledger sums are order-independent.
-    ///
-    /// Each worker's walks stay **serial** regardless of
-    /// [`IntNetwork::set_threads`]: combining batch-level sharding with
-    /// intra-walk splitting would oversubscribe the host.
     ///
     /// # Panics
     ///
@@ -678,7 +626,6 @@ pub fn convert_with_backend(
         input_shape: net.input_shape(),
         graph,
         scheme,
-        threads: 1,
     })
 }
 

@@ -59,11 +59,6 @@ pub struct PipelineConfig {
     /// only wall-clock (and the Eq. 7 live set, which scales with the
     /// batch) change.
     pub batch: usize,
-    /// Worker threads *inside* each graph walk of the deployment-side
-    /// evaluation (default 1 = serial). Forwarded to
-    /// [`IntNetwork::set_threads`]; logits, accuracy and modeled MCU
-    /// cycles are bit-identical at every setting.
-    pub threads: usize,
     /// Run the static verifier (`mixq-verify`) over the deployed graph and
     /// fail [`deploy`] with [`MixQError::VerificationFailed`] on any
     /// unproven fact (default `true`). The pass is input-independent — it
@@ -90,7 +85,6 @@ impl PipelineConfig {
             seed: 42,
             backend: BackendKind::default(),
             batch: 1,
-            threads: 1,
             verify: true,
         }
     }
@@ -121,23 +115,6 @@ impl PipelineConfig {
     pub fn with_batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
         self.batch = batch;
-        self
-    }
-
-    /// Sets the intra-walk worker-thread count (see
-    /// [`IntNetwork::set_threads`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or exceeds
-    /// [`MAX_POOL_THREADS`](mixq_kernels::MAX_POOL_THREADS).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(
-            (1..=mixq_kernels::MAX_POOL_THREADS).contains(&threads),
-            "threads must be in 1..={}, got {threads}",
-            mixq_kernels::MAX_POOL_THREADS
-        );
-        self.threads = threads;
         self
     }
 
@@ -248,7 +225,7 @@ pub fn deploy(
     let fake_quant_accuracy = evaluate(&net, dataset);
     // Phase 3: integer-only conversion (deployment graph g'(x)), each node
     // bound to the backend-selected kernel.
-    let mut int_net = convert_with_backend(&net, cfg.scheme, &cfg.backend)?;
+    let int_net = convert_with_backend(&net, cfg.scheme, &cfg.backend)?;
     if cfg.verify {
         // Static verification of the deployment graph: refuse to ship a
         // schedule the verifier cannot prove overflow-free, alias-free and
@@ -266,7 +243,6 @@ pub fn deploy(
             });
         }
     }
-    int_net.set_threads(cfg.threads);
     let (int_accuracy, _) = int_net.evaluate_batch(dataset, cfg.batch);
     // Phase 4: verification — loss(g'(x)) ≈ loss(g(x)) at prediction level.
     let prediction_agreement = prediction_agreement(&net, &int_net, dataset);

@@ -26,27 +26,18 @@
 //! * **pointwise identity fast path** — for 1×1 stride-1 convolutions the
 //!   im2col matrix *is* the input in NHWC order, so the expansion is a
 //!   borrow of the packed bytes (8-bit input) or one linear unpack
-//!   (sub-byte) instead of a per-element gather;
-//! * **intra-walk row parallelism** — with a
-//!   [`ThreadPool`] on the arena, the `rows × c_o`
-//!   output splits into contiguous im2col-row blocks, one per worker
-//!   (disjoint output ranges and disjoint accumulator scratch, identical
-//!   per-row arithmetic → the merge is a concatenation and the result
-//!   byte-identical for any worker count).
+//!   (sub-byte) instead of a per-element gather.
 //!
 //! The abstract [`OpCounts`] ledger charged is identical to the
 //! [`QConv2d::execute_gemm`] path — the blocked kernel reorganizes the
 //! dataflow, not the mathematical work; the per-choice rates of the
-//! Cortex-M7 cycle model express the dataflow difference, and host SIMD
-//! or worker threads never change modeled cycles.
-
-use std::sync::Mutex;
+//! Cortex-M7 cycle model express the dataflow difference, and the host
+//! SIMD level never changes modeled cycles.
 
 use mixq_tensor::Shape;
 
 use crate::simd::requant::RequantPlan;
 use crate::simd::{self, SimdLevel, MAX_DOT_LEN};
-use crate::threadpool::{partition_bounds, ThreadPool, MAX_POOL_THREADS};
 use crate::{OpCounts, QActivation, QConv2d, Requantizer};
 
 /// The prepacked operand of the blocked GEMM: the layer's decoded u8
@@ -284,28 +275,18 @@ impl QConv2d {
             data_scratch,
             &mut Vec::new(),
             out_codes,
-            None,
             ops,
         )
     }
 
-    /// [`QConv2d::execute_blocked_prepacked`] with an optional
-    /// [`ThreadPool`] and caller-owned accumulator scratch: the im2col
-    /// expansion and the `rows × c_o` output split into contiguous row
-    /// blocks, one per worker, inside this single node execution — the
-    /// intra-walk parallelism of
-    /// [`QGraph::infer_batch`](crate::QGraph::infer_batch). Worker counts
-    /// (including none) are bit-identical: every row's arithmetic is the
-    /// serial GEMV's, rows are disjoint, each worker owns a disjoint
-    /// `2·c_o` slice of `acc_scratch`, and the shared ledger is a sum of
-    /// per-worker counts over disjoint ranges. Allocation-free once
-    /// `data_scratch`, `acc_scratch` and `out_codes` reach steady
-    /// capacity.
+    /// [`QConv2d::execute_blocked_prepacked`] with caller-owned `2·c_o`
+    /// accumulator scratch (the arena's on the graph path). Bit-identical
+    /// to it; allocation-free once `data_scratch`, `acc_scratch` and
+    /// `out_codes` reach steady capacity.
     ///
     /// # Panics
     ///
     /// See [`QConv2d::execute_blocked_prepacked`].
-    #[allow(clippy::too_many_arguments)]
     pub fn execute_blocked_prepacked_pooled(
         &self,
         panels: &PackedPanels,
@@ -313,7 +294,6 @@ impl QConv2d {
         data_scratch: &mut Vec<u8>,
         acc_scratch: &mut Vec<i32>,
         out_codes: &mut Vec<u8>,
-        pool: Option<&ThreadPool>,
         ops: &mut OpCounts,
     ) -> Shape {
         assert!(
@@ -354,7 +334,7 @@ impl QConv2d {
             x.codes_into(data_scratch);
             data_scratch
         } else {
-            self.im2col_into_pooled(x, data_scratch, pool, ops);
+            self.im2col_into(x, data_scratch, ops);
             data_scratch
         };
         // Per-walk setup (not per-row): this is the last gate before the
@@ -368,82 +348,21 @@ impl QConv2d {
         let plan = self.plan();
         let level = simd::active_level();
 
-        // Contiguous row blocks, one per worker; each worker owns the
-        // matching disjoint range of `out_codes` plus its own `2·c_o`
-        // accumulator slice and runs the identical serial GEMV over them.
-        let threads = pool.map_or(1, ThreadPool::threads);
-        let mut split = false;
-        if threads > 1 && rows >= 2 {
-            let mut row_bounds = [0usize; MAX_POOL_THREADS + 1];
-            let parts = partition_bounds(rows, threads, &mut row_bounds);
-            if parts > 1 {
-                let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
-                let mut acc_bounds = [0usize; MAX_POOL_THREADS + 1];
-                for (i, (b, r)) in byte_bounds
-                    .iter_mut()
-                    .zip(&row_bounds)
-                    .enumerate()
-                    .take(parts + 1)
-                {
-                    *b = r * co_n;
-                    acc_bounds[i] = i * 2 * co_n;
-                }
-                acc_scratch.clear();
-                acc_scratch.resize(parts * 2 * co_n, 0);
-                // Requant/threshold tallies are data-dependent: each
-                // worker counts locally and merges once at the end (sums
-                // over disjoint rows commute — ledger stays deterministic).
-                let merged = Mutex::new((0u64, 0u64));
-                pool.expect("threads > 1 implies a pool").broadcast_slices2(
-                    out_codes.as_mut_slice(),
-                    &byte_bounds[..=parts],
-                    acc_scratch.as_mut_slice(),
-                    &acc_bounds[..=parts],
-                    |w, chunk, acc| {
-                        let (mut rq, mut tc) = (0u64, 0u64);
-                        blocked_rows(
-                            requant,
-                            plan,
-                            panels,
-                            data,
-                            zx,
-                            level,
-                            row_bounds[w],
-                            row_bounds[w + 1],
-                            chunk,
-                            acc,
-                            &mut rq,
-                            &mut tc,
-                        );
-                        let mut m = merged.lock().unwrap();
-                        m.0 += rq;
-                        m.1 += tc;
-                    },
-                );
-                let (rq, tc) = merged.into_inner().unwrap();
-                ops.requants += rq;
-                ops.threshold_cmps += tc;
-                split = true;
-            }
-        }
-        if !split {
-            acc_scratch.clear();
-            acc_scratch.resize(2 * co_n, 0);
-            blocked_rows(
-                requant,
-                plan,
-                panels,
-                data,
-                zx,
-                level,
-                0,
-                rows,
-                out_codes.as_mut_slice(),
-                acc_scratch.as_mut_slice(),
-                &mut ops.requants,
-                &mut ops.threshold_cmps,
-            );
-        }
+        acc_scratch.clear();
+        acc_scratch.resize(2 * co_n, 0);
+        blocked_rows(
+            requant,
+            plan,
+            panels,
+            data,
+            zx,
+            level,
+            rows,
+            out_codes.as_mut_slice(),
+            acc_scratch.as_mut_slice(),
+            &mut ops.requants,
+            &mut ops.threshold_cmps,
+        );
 
         // Same abstract ledger as the naive GEMM path (identical
         // mathematical work; only the dataflow differs).
@@ -459,12 +378,9 @@ impl QConv2d {
     }
 }
 
-/// The dual-row GEMV sweep over im2col rows `[r_lo, r_hi)`: the shared
-/// core of the serial and row-parallel blocked paths (structural
-/// bit-identity — both run exactly this). `out` holds the rows' output
-/// range, starting at row `r_lo`; `acc` is the caller's `2·c_o`
-/// accumulator scratch. Row pairing never crosses the range boundary, so
-/// any contiguous split reproduces the full-range codes.
+/// The dual-row GEMV sweep over the `rows` im2col rows of `data`,
+/// writing their `rows × c_o` output codes into `out`; `acc` is the
+/// caller's `2·c_o` accumulator scratch.
 #[allow(clippy::too_many_arguments)]
 fn blocked_rows(
     requant: &Requantizer,
@@ -473,8 +389,7 @@ fn blocked_rows(
     data: &[u8],
     zx: i64,
     level: SimdLevel,
-    r_lo: usize,
-    r_hi: usize,
+    rows: usize,
     out: &mut [u8],
     acc: &mut [i32],
     requants: &mut u64,
@@ -487,10 +402,10 @@ fn blocked_rows(
     // Hot per-block path: these stay `debug_assert` because both lengths
     // are established on the cold setup path above (the hard
     // `data.len() == rows * k` / `rows.len() == co_n * k` asserts in
-    // `execute_blocked_prepacked_pooled` and `prepack_panels`) and by the
-    // caller-side slice partitioning; `mixq-verify` re-checks the same
-    // geometry statically per graph (`check_dot_geometry`).
-    debug_assert_eq!(out.len(), (r_hi - r_lo) * co_n);
+    // `execute_blocked_prepacked_pooled` and `prepack_panels`);
+    // `mixq-verify` re-checks the same geometry statically per graph
+    // (`check_dot_geometry`).
+    debug_assert_eq!(out.len(), rows * co_n);
     debug_assert_eq!(acc.len(), 2 * co_n);
     let (acc0, acc1) = acc.split_at_mut(co_n);
 
@@ -504,8 +419,7 @@ fn blocked_rows(
             data,
             zx,
             level,
-            r_lo,
-            r_hi,
+            rows,
             out,
             requants,
             threshold_cmps,
@@ -516,9 +430,9 @@ fn blocked_rows(
     // the exact expansion of Σ (X − Zx)(W − Zw). `Σ W − k·Zw` is the
     // prepacked `base` table, so the input zero-point is the only
     // per-call ingredient.
-    let mut r = r_lo;
-    while r < r_hi {
-        let pair = r + 1 < r_hi;
+    let mut r = 0;
+    while r < rows {
+        let pair = r + 1 < rows;
         let x0 = &data[r * k..r * k + k];
         let x1 = if pair {
             &data[(r + 1) * k..(r + 1) * k + k]
@@ -533,7 +447,7 @@ fn blocked_rows(
         // Fused vectorized epilogue: widen, fold the hoisted corrections
         // and requantize in-vector (bit-identical to the per-element
         // `Requantizer::apply` loop, same ledger totals).
-        let o0 = (r - r_lo) * co_n;
+        let o0 = r * co_n;
         simd::requant::apply_gemm_row(
             plan,
             requant,
@@ -580,8 +494,7 @@ fn blocked_rows_long(
     data: &[u8],
     zx: i64,
     level: SimdLevel,
-    r_lo: usize,
-    r_hi: usize,
+    rows: usize,
     out: &mut [u8],
     requants: &mut u64,
     threshold_cmps: &mut u64,
@@ -593,9 +506,9 @@ fn blocked_rows_long(
     let chunk = MAX_DOT_LEN & !1;
     let mut acc = vec![0i32; 2 * co_n];
     let mut wide = vec![0i64; 2 * co_n];
-    let mut r = r_lo;
-    while r < r_hi {
-        let pair = r + 1 < r_hi;
+    let mut r = 0;
+    while r < rows {
+        let pair = r + 1 < rows;
         let x0 = &data[r * k..r * k + k];
         let x1 = if pair {
             &data[(r + 1) * k..(r + 1) * k + k]
@@ -632,7 +545,7 @@ fn blocked_rows_long(
         // Same overflow-proof fold + vectorized epilogue the hot path
         // fuses inside `apply_gemm_row`, just staged through the wide
         // totals the chunked accumulation requires.
-        let o0 = (r - r_lo) * co_n;
+        let o0 = r * co_n;
         let (w0, w1) = wide.split_at_mut(co_n);
         simd::requant::fold_corrections(w0, sx0, zx, zw, wbase);
         simd::requant::apply_phi_block(
@@ -786,7 +699,7 @@ mod tests {
         // Rebuild the im2col matrix the hot path consumed.
         let mut data = Vec::new();
         let mut scratch_ops = OpCounts::default();
-        conv.im2col_into_pooled(&x, &mut data, None, &mut scratch_ops);
+        conv.im2col_into(&x, &mut data, &mut scratch_ops);
         blocked_rows_long(
             conv.requant(),
             conv.plan(),
@@ -794,48 +707,12 @@ mod tests {
             &data,
             x.zero_point() as i64,
             simd::active_level(),
-            0,
             rows,
             &mut cold,
             &mut rq,
             &mut tc,
         );
         assert_eq!(hot, cold, "chunked fallback diverges from hot path");
-    }
-
-    #[test]
-    fn pooled_split_is_bit_identical_to_serial() {
-        // Worker counts from 1 (inline) past the row count (surplus
-        // workers idle) produce byte-identical codes and ledgers.
-        let conv = make_conv(5, 3, 3, 1, BitWidth::W4, true);
-        let x = make_input(6, 6, 3, BitWidth::W8, 3);
-        let panels = conv.prepack_panels();
-        let mut serial_codes = Vec::new();
-        let mut serial_ops = OpCounts::default();
-        conv.execute_blocked_prepacked(
-            &panels,
-            &x,
-            &mut Vec::new(),
-            &mut serial_codes,
-            &mut serial_ops,
-        );
-        for threads in [1, 2, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            let mut codes = Vec::new();
-            let mut acc = Vec::new();
-            let mut ops = OpCounts::default();
-            conv.execute_blocked_prepacked_pooled(
-                &panels,
-                &x,
-                &mut Vec::new(),
-                &mut acc,
-                &mut codes,
-                Some(&pool),
-                &mut ops,
-            );
-            assert_eq!(codes, serial_codes, "threads={threads}");
-            assert_eq!(ops, serial_ops, "threads={threads}");
-        }
     }
 
     #[test]

@@ -1,10 +1,7 @@
-use std::sync::Mutex;
-
 use mixq_tensor::{ConvGeometry, Shape};
 
 use crate::simd::depthwise as dw;
 use crate::simd::{self, requant::RequantPlan};
-use crate::threadpool::{partition_bounds, ThreadPool, MAX_POOL_THREADS};
 use crate::{OpCounts, QActivation, QConvWeights, Requantizer};
 
 /// Channels per block of the depthwise fast core: the block's `(w − Zw)`
@@ -215,42 +212,30 @@ impl QConv2d {
         out_codes: &mut Vec<u8>,
         ops: &mut OpCounts,
     ) -> Shape {
-        self.execute_codes_pooled(wcodes, x, out_codes, &mut Vec::new(), None, ops)
+        self.execute_codes_pooled(wcodes, x, out_codes, &mut Vec::new(), ops)
     }
 
     /// [`QConv2d::execute_codes_with`] with caller-owned staging (`aux`,
-    /// the arena's auxiliary buffer on the graph path) and an optional
-    /// [`ThreadPool`].
+    /// the arena's auxiliary buffer on the graph path): a depthwise layer
+    /// on the fast core ([`crate::simd::depthwise::mac_pixels`]) with a 2-
+    /// or 4-bit input decodes it once into the head of `aux` (the SIMD
+    /// `unpack_into` the im2col staging uses), so every tap reads plain
+    /// bytes.
     ///
-    /// * A depthwise layer on the fast core
-    ///   ([`crate::simd::depthwise::mac_pixels`]) with a 2- or 4-bit input
-    ///   decodes it once into the head of `aux` (the SIMD `unpack_into`
-    ///   the im2col staging uses), so every tap reads plain bytes.
-    /// * With a pool, the output channels split into contiguous blocks,
-    ///   one per worker — the direct-kernel half of the intra-walk
-    ///   parallelism (the GEMM kernels split im2col rows instead).
-    ///   Channel-interleaved NHWC output makes a worker's writes strided,
-    ///   so each worker writes its channel block as contiguous planes into
-    ///   `aux` (after the staged input) and a serial pass re-interleaves.
-    ///
-    /// Both are host-side staging copies, charged nowhere, exactly like
-    /// the prepack caches and the im2col staging: the ledger keeps charging
-    /// one unpack per sub-byte operand per MAC, as the microcontroller
-    /// pays. Bit-identical to the serial path — per-output arithmetic is
-    /// unchanged and the data-dependent ledger tallies sum over disjoint
-    /// channel ranges — for any worker count.
+    /// That decode is a host-side staging copy, charged nowhere, exactly
+    /// like the prepack caches and the im2col staging: the ledger keeps
+    /// charging one unpack per sub-byte operand per MAC, as the
+    /// microcontroller pays.
     ///
     /// # Panics
     ///
     /// See [`QConv2d::execute_codes_with`].
-    #[allow(clippy::too_many_arguments)]
     pub fn execute_codes_pooled(
         &self,
         wcodes: Option<&[u8]>,
         x: &QActivation,
         out_codes: &mut Vec<u8>,
         aux: &mut Vec<u8>,
-        pool: Option<&ThreadPool>,
         ops: &mut OpCounts,
     ) -> Shape {
         if let Some(w) = wcodes {
@@ -265,91 +250,35 @@ impl QConv2d {
         let wslice: Option<&[u8]> =
             wcodes.or_else(|| (!self.weights.needs_unpack()).then(|| self.weights.as_bytes()));
         let out_shape = self.output_shape(x.shape());
-        let c = out_shape.c;
-        let volume = out_shape.volume();
-        let threads = pool.map_or(1, ThreadPool::threads);
-        let mut chan_bounds = [0usize; MAX_POOL_THREADS + 1];
-        let parts = if threads > 1 && c >= 2 {
-            partition_bounds(c, threads, &mut chan_bounds)
-        } else {
-            1
-        };
-        let dw_fast = self.dw.is_some();
-        let staged = if dw_fast && x.needs_unpack() {
-            x.shape().volume()
-        } else {
-            0
-        };
-        let plane_len = if parts > 1 { volume } else { 0 };
-        // Every staged and plane byte is overwritten below: grow, never clear.
-        if aux.len() < staged + plane_len {
-            aux.resize(staged + plane_len, 0);
-        }
-        let (xstage, rest) = aux.split_at_mut(staged);
-        // The fast core reads its input one code per byte: the staged
-        // decode, or an 8-bit tensor's own bytes.
-        let xcodes: &[u8] = if staged > 0 {
-            x.unpack_into(xstage);
-            xstage
-        } else {
-            x.as_bytes()
-        };
-        let fast = self.dw.as_deref().map(|ops| (ops, xcodes));
         out_codes.clear();
-        out_codes.resize(volume, 0);
-        let macs = if parts <= 1 {
-            self.conv_channels(
-                x,
-                fast,
-                wslice,
-                0,
-                c,
-                false,
-                out_codes.as_mut_slice(),
-                &mut ops.requants,
-                &mut ops.threshold_cmps,
-            )
-        } else {
-            let npix = volume / c;
-            let planes = &mut rest[..plane_len];
-            let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
-            for (b, ch) in byte_bounds.iter_mut().zip(&chan_bounds).take(parts + 1) {
-                *b = ch * npix;
-            }
-            let merged = Mutex::new((0u64, 0u64, 0u64));
-            pool.expect("parts > 1 implies a pool").broadcast_slices(
-                planes,
-                &byte_bounds[..=parts],
-                |worker, chunk| {
-                    let (lo, hi) = (chan_bounds[worker], chan_bounds[worker + 1]);
-                    let (mut rq, mut tc) = (0u64, 0u64);
-                    let macs =
-                        self.conv_channels(x, fast, wslice, lo, hi, true, chunk, &mut rq, &mut tc);
-                    let mut m = merged.lock().unwrap();
-                    m.0 += macs;
-                    m.1 += rq;
-                    m.2 += tc;
-                },
-            );
-            // Serial re-interleave of the channel planes into NHWC order.
-            for co in 0..c {
-                let plane = &rest[co * npix..(co + 1) * npix];
-                for (pix, &v) in plane.iter().enumerate() {
-                    out_codes[pix * c + co] = v;
+        out_codes.resize(out_shape.volume(), 0);
+        let (rq, tc) = (&mut ops.requants, &mut ops.threshold_cmps);
+        let macs = if let Some(dw_ops) = self.dw.as_deref() {
+            // The fast core reads its input one code per byte: a staged
+            // decode, or an 8-bit tensor's own bytes.
+            let xcodes: &[u8] = if x.needs_unpack() {
+                let staged = x.shape().volume();
+                // Every staged byte is overwritten: grow, never clear.
+                if aux.len() < staged {
+                    aux.resize(staged, 0);
                 }
-            }
-            let (macs, rq, tc) = merged.into_inner().unwrap();
-            ops.requants += rq;
-            ops.threshold_cmps += tc;
-            macs
+                x.unpack_into(&mut aux[..staged]);
+                &aux[..staged]
+            } else {
+                x.as_bytes()
+            };
+            self.depthwise_taps(dw_ops, x, xcodes, out_codes, rq, tc)
+        } else if let Some(w) = wslice {
+            self.direct_channels(x, out_codes, rq, tc, |i| w[i])
+        } else {
+            self.direct_channels(x, out_codes, rq, tc, |i| self.weights.code_at(i))
         };
         self.charge_direct_ledger(x, out_shape, macs, ops);
         out_shape
     }
 
-    /// The shared tail-ledger of every direct-kernel path: per-MAC loads
-    /// and unpack charges are proportional to the MAC tally, so serial
-    /// and channel-split executions charge identically.
+    /// The tail ledger of the direct kernel: per-MAC loads and unpack
+    /// charges are proportional to the MAC tally.
     fn charge_direct_ledger(
         &self,
         x: &QActivation,
@@ -370,54 +299,9 @@ impl QConv2d {
         }
     }
 
-    /// Output channels `[co_lo, co_hi)` of the direct kernel: the
-    /// depthwise fast core when given its operands and the input codes one
-    /// per byte, the generic loop otherwise. Returns the MAC tally.
-    #[allow(clippy::too_many_arguments)]
-    fn conv_channels(
-        &self,
-        x: &QActivation,
-        fast: Option<(&DwOperands, &[u8])>,
-        wslice: Option<&[u8]>,
-        co_lo: usize,
-        co_hi: usize,
-        plane: bool,
-        out: &mut [u8],
-        requants: &mut u64,
-        threshold_cmps: &mut u64,
-    ) -> u64 {
-        match (fast, wslice) {
-            (Some((ops, xb)), _) => self.depthwise_taps(
-                ops,
-                x,
-                xb,
-                co_lo,
-                co_hi,
-                plane,
-                out,
-                requants,
-                threshold_cmps,
-            ),
-            (None, Some(w)) => {
-                self.direct_channels(x, co_lo, co_hi, plane, out, requants, threshold_cmps, |i| {
-                    w[i]
-                })
-            }
-            (None, None) => {
-                self.direct_channels(x, co_lo, co_hi, plane, out, requants, threshold_cmps, |i| {
-                    self.weights.code_at(i)
-                })
-            }
-        }
-    }
-
-    /// The depthwise fast core over output channels `[co_lo, co_hi)`,
-    /// writing NHWC-interleaved codes (`plane == false`, full channel
-    /// range) or contiguous per-channel planes relative to `co_lo`
-    /// (`plane == true`, the worker layout). `xb` holds the input codes one
-    /// per byte in NHWC order. Returns the MAC tally; the serial and
-    /// channel-split paths share it, so their arithmetic is structurally
-    /// identical.
+    /// The depthwise fast core, writing NHWC output codes into `out`.
+    /// `xb` holds the input codes one per byte in NHWC order. Returns the
+    /// MAC tally.
     ///
     /// Channels are swept in blocks of ≤ `DW_BLOCK` — the innermost,
     /// vector axis, contiguous in NHWC — over the layer's prepared
@@ -435,15 +319,11 @@ impl QConv2d {
     /// most `DW_GROUP_LANES / 2` channels, up to `⌊DW_GROUP_LANES / c⌋`
     /// pixels at once through the tiled `pixel_plan` — bit-identical to
     /// per-element `Requantizer::apply`, with the same ledger totals.
-    #[allow(clippy::too_many_arguments)]
     fn depthwise_taps(
         &self,
         ops: &DwOperands,
         x: &QActivation,
         xb: &[u8],
-        co_lo: usize,
-        co_hi: usize,
-        plane: bool,
         out: &mut [u8],
         requants: &mut u64,
         threshold_cmps: &mut u64,
@@ -479,9 +359,9 @@ impl QConv2d {
         let mut acc = [0i32; DW_BLOCK];
         let mut codes = [0u8; DW_BLOCK];
         let mut macs = 0u64;
-        let mut blk_lo = co_lo;
-        while blk_lo < co_hi {
-            let n = DW_BLOCK.min(co_hi - blk_lo);
+        let mut blk_lo = 0;
+        while blk_lo < c {
+            let n = DW_BLOCK.min(c - blk_lo);
             // The block's operands: pair p at wp[p·2c ..][..2n].
             let wp = &ops.wpairs[2 * blk_lo..];
             // One epilogue call per pixel group: several pixels when the
@@ -556,14 +436,8 @@ impl QConv2d {
                     threshold_cmps,
                 );
                 for (g, px_codes) in codes[..m].chunks_exact(n).enumerate() {
-                    if plane {
-                        for (j, &code) in px_codes.iter().enumerate() {
-                            out[(blk_lo + j - co_lo) * npix + pix + g] = code;
-                        }
-                    } else {
-                        let o = (pix + g) * c + blk_lo;
-                        out[o..o + n].copy_from_slice(px_codes);
-                    }
+                    let o = (pix + g) * c + blk_lo;
+                    out[o..o + n].copy_from_slice(px_codes);
                 }
                 pix += g_n;
             }
@@ -573,16 +447,11 @@ impl QConv2d {
     }
 
     /// The generic direct-loop core — the scalar oracle every fast path is
-    /// checked against — over output channels `[co_lo, co_hi)` with the
-    /// same interleaved-vs-plane output convention as
-    /// [`QConv2d::depthwise_taps`]. Returns the MAC tally.
-    #[allow(clippy::too_many_arguments)]
+    /// checked against — writing NHWC output codes into `out`. Returns the
+    /// MAC tally.
     fn direct_channels(
         &self,
         x: &QActivation,
-        co_lo: usize,
-        co_hi: usize,
-        plane: bool,
         out: &mut [u8],
         requants: &mut u64,
         threshold_cmps: &mut u64,
@@ -605,14 +474,13 @@ impl QConv2d {
         let (kh, kw) = (self.geometry.kh, self.geometry.kw);
         let zx = x.zero_point() as i64;
         let wshape = self.weights.shape();
-        let npix = out_shape.pixels() * out_shape.n;
 
         let mut macs = 0u64;
         for n in 0..out_shape.n {
             for oy in 0..out_shape.h {
                 for ox in 0..out_shape.w {
                     let pix = (n * out_shape.h + oy) * out_shape.w + ox;
-                    for co in co_lo..co_hi {
+                    for co in 0..out_shape.c {
                         let zw = self.weights.offset().at(co) as i64;
                         let mut acc: i64 = 0;
                         for ky in 0..kh {
@@ -641,13 +509,8 @@ impl QConv2d {
                                 }
                             }
                         }
-                        let code = self.requant.apply(co, acc, requants, threshold_cmps);
-                        let idx = if plane {
-                            (co - co_lo) * npix + pix
-                        } else {
-                            pix * out_shape.c + co
-                        };
-                        out[idx] = code;
+                        out[pix * out_shape.c + co] =
+                            self.requant.apply(co, acc, requants, threshold_cmps);
                     }
                 }
             }

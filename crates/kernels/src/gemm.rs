@@ -9,11 +9,8 @@
 //! exactly zero to `Σ (X − Zx)(W − Zw)` — the same trick the real kernels
 //! use so the inner loop stays branch-free.
 
-use std::sync::Mutex;
-
 use mixq_tensor::Shape;
 
-use crate::threadpool::{partition_bounds, ThreadPool, MAX_POOL_THREADS};
 use crate::{OpCounts, QActivation, QConv2d};
 
 /// The im2col expansion of one input: a `rows × k` matrix of input codes
@@ -88,26 +85,6 @@ impl QConv2d {
         data: &mut Vec<u8>,
         ops: &mut OpCounts,
     ) -> (usize, usize) {
-        self.im2col_into_pooled(x, data, None, ops)
-    }
-
-    /// [`QConv2d::im2col_into`] with an optional [`ThreadPool`]: the
-    /// expansion's rows are independent gathers into disjoint `k`-byte
-    /// stripes of the buffer, so they split into contiguous row blocks
-    /// across the workers. Bit-identical for any worker count (each row's
-    /// bytes, and the load tally summed over disjoint row ranges, don't
-    /// depend on the split).
-    ///
-    /// # Panics
-    ///
-    /// See [`QConv2d::im2col`].
-    pub fn im2col_into_pooled(
-        &self,
-        x: &QActivation,
-        data: &mut Vec<u8>,
-        pool: Option<&ThreadPool>,
-        ops: &mut OpCounts,
-    ) -> (usize, usize) {
         assert!(
             !self.weights().is_depthwise(),
             "im2col path applies to standard convolutions"
@@ -119,51 +96,24 @@ impl QConv2d {
         let rows = out_shape.pixels() * out_shape.n;
         data.clear();
         data.resize(rows * k, 0);
-        let threads = pool.map_or(1, ThreadPool::threads);
-        // One code per byte already? Then every valid tap is a straight
-        // `memcpy` from the input bytes on every path.
-        let direct: Option<&[u8]> = (!x.needs_unpack()).then(|| x.as_bytes());
-        let mut loads = 0u64;
-        let mut split = false;
-        if threads > 1 && rows >= 2 {
-            let mut row_bounds = [0usize; MAX_POOL_THREADS + 1];
-            let parts = partition_bounds(rows, threads, &mut row_bounds);
-            if parts > 1 {
-                let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
-                for (b, r) in byte_bounds.iter_mut().zip(&row_bounds).take(parts + 1) {
-                    *b = r * k;
-                }
-                let merged = Mutex::new(0u64);
-                pool.expect("threads > 1 implies a pool").broadcast_slices(
-                    data.as_mut_slice(),
-                    &byte_bounds[..=parts],
-                    |w, chunk| {
-                        let local = self.im2col_rows(x, out_shape, row_bounds[w], chunk, direct);
-                        *merged.lock().unwrap() += local;
-                    },
-                );
-                loads = merged.into_inner().unwrap();
-                split = true;
-            }
-        }
-        if !split {
-            if direct.is_none() {
-                // Serial sub-byte staging: decode the whole input once
-                // (SIMD unpack) into the slack of the scratch buffer, then
-                // gather rows from the flat decode instead of extracting
-                // bits per element. Same bytes and the same abstract
-                // ledger — `unpacks` still charges the per-element model
-                // the microcontroller would pay.
-                let vol = in_shape.volume();
-                data.resize(rows * k + vol, 0);
-                let (head, tail) = data.split_at_mut(rows * k);
-                x.unpack_into(&mut tail[..vol]);
-                loads = self.im2col_rows(x, out_shape, 0, head, Some(&tail[..vol]));
-                data.truncate(rows * k);
-            } else {
-                loads = self.im2col_rows(x, out_shape, 0, data.as_mut_slice(), direct);
-            }
-        }
+        let loads = if x.needs_unpack() {
+            // Sub-byte staging: decode the whole input once (SIMD unpack)
+            // into the slack of the scratch buffer, then gather rows from
+            // the flat decode instead of extracting bits per element. Same
+            // bytes and the same abstract ledger — `unpacks` still charges
+            // the per-element model the microcontroller would pay.
+            let vol = in_shape.volume();
+            data.resize(rows * k + vol, 0);
+            let (head, tail) = data.split_at_mut(rows * k);
+            x.unpack_into(&mut tail[..vol]);
+            let loads = self.im2col_rows(x, out_shape, head, &tail[..vol]);
+            data.truncate(rows * k);
+            loads
+        } else {
+            // One code per byte already: every valid tap is a straight
+            // `memcpy` from the input bytes.
+            self.im2col_rows(x, out_shape, data.as_mut_slice(), x.as_bytes())
+        };
         ops.act_loads += loads;
         if x.needs_unpack() {
             ops.unpacks += loads;
@@ -171,23 +121,14 @@ impl QConv2d {
         (rows, k)
     }
 
-    /// Gathers the im2col rows starting at `r_lo` into `out` (whose
-    /// length picks the row count) and returns the non-padded load tally
-    /// — the shared core of the serial and row-parallel expansions.
+    /// Gathers every im2col row into `out` and returns the non-padded load
+    /// tally.
     ///
-    /// `flat`, when given, holds the input codes decoded to one per byte
-    /// in NHWC order (either the 8-bit tensor's own bytes or a staged
-    /// sub-byte decode): each valid tap then copies one contiguous channel
-    /// span instead of extracting elements one by one. Padded taps fill
-    /// with `Zx`. Same bytes and load tally either way.
-    fn im2col_rows(
-        &self,
-        x: &QActivation,
-        out_shape: Shape,
-        r_lo: usize,
-        out: &mut [u8],
-        flat: Option<&[u8]>,
-    ) -> u64 {
+    /// `flat` holds the input codes decoded to one per byte in NHWC order
+    /// (either the 8-bit tensor's own bytes or a staged sub-byte decode):
+    /// each valid tap copies one contiguous channel span, and padded taps
+    /// fill with `Zx`.
+    fn im2col_rows(&self, x: &QActivation, out_shape: Shape, out: &mut [u8], flat: &[u8]) -> u64 {
         let in_shape = x.shape();
         let g = self.geometry();
         let (pt, pl) = g.pad_top_left(in_shape.h, in_shape.w);
@@ -195,8 +136,7 @@ impl QConv2d {
         let c = in_shape.c;
         let zx = x.zero_point();
         let mut loads = 0u64;
-        for (rr, row_out) in out.chunks_exact_mut(k).enumerate() {
-            let row = r_lo + rr;
+        for (row, row_out) in out.chunks_exact_mut(k).enumerate() {
             let ox = row % out_shape.w;
             let oy = (row / out_shape.w) % out_shape.h;
             let n = row / (out_shape.w * out_shape.h);
@@ -211,15 +151,8 @@ impl QConv2d {
                         span.fill(zx);
                     } else {
                         loads += c as u64;
-                        if let Some(xb) = flat {
-                            let base =
-                                ((n * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c;
-                            span.copy_from_slice(&xb[base..base + c]);
-                        } else {
-                            for (ci, o) in span.iter_mut().enumerate() {
-                                *o = x.get(n, iy as usize, ix as usize, ci);
-                            }
-                        }
+                        let base = ((n * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c;
+                        span.copy_from_slice(&flat[base..base + c]);
                     }
                     col += c;
                 }
@@ -289,30 +222,7 @@ impl QConv2d {
         out_codes: &mut Vec<u8>,
         ops: &mut OpCounts,
     ) -> Shape {
-        self.execute_gemm_codes_parallel(wcodes, x, im2col_scratch, out_codes, None, ops)
-    }
-
-    /// [`QConv2d::execute_gemm_codes_pooled`] with an optional
-    /// [`ThreadPool`]: the im2col expansion and the `rows × c_o` GEMM
-    /// split into contiguous im2col-row blocks, one per worker, inside
-    /// this single node execution. Bit-identical — codes and ledger — for
-    /// any worker count: rows are computed independently with the serial
-    /// arithmetic, and the data-dependent requant/threshold tallies sum
-    /// over disjoint row ranges.
-    ///
-    /// # Panics
-    ///
-    /// See [`QConv2d::execute_gemm_codes_pooled`].
-    pub fn execute_gemm_codes_parallel(
-        &self,
-        wcodes: Option<&[u8]>,
-        x: &QActivation,
-        im2col_scratch: &mut Vec<u8>,
-        out_codes: &mut Vec<u8>,
-        pool: Option<&ThreadPool>,
-        ops: &mut OpCounts,
-    ) -> Shape {
-        let (rows, k) = self.im2col_into_pooled(x, im2col_scratch, pool, ops);
+        let (rows, k) = self.im2col_into(x, im2col_scratch, ops);
         let in_shape = x.shape();
         let out_shape = self.output_shape(in_shape);
         let weights = self.weights();
@@ -339,47 +249,15 @@ impl QConv2d {
         };
         out_codes.clear();
         out_codes.resize(out_shape.volume(), 0);
-        let data: &[u8] = im2col_scratch;
-        let threads = pool.map_or(1, ThreadPool::threads);
-        let mut split = false;
-        if threads > 1 && rows >= 2 {
-            let mut row_bounds = [0usize; MAX_POOL_THREADS + 1];
-            let parts = partition_bounds(rows, threads, &mut row_bounds);
-            if parts > 1 {
-                let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
-                for (b, r) in byte_bounds.iter_mut().zip(&row_bounds).take(parts + 1) {
-                    *b = r * co_n;
-                }
-                let merged = Mutex::new((0u64, 0u64));
-                pool.expect("threads > 1 implies a pool").broadcast_slices(
-                    out_codes.as_mut_slice(),
-                    &byte_bounds[..=parts],
-                    |w, chunk| {
-                        let (mut rq, mut tc) = (0u64, 0u64);
-                        self.gemm_rows(wflat, data, k, zx, row_bounds[w], chunk, &mut rq, &mut tc);
-                        let mut m = merged.lock().unwrap();
-                        m.0 += rq;
-                        m.1 += tc;
-                    },
-                );
-                let (rq, tc) = merged.into_inner().unwrap();
-                ops.requants += rq;
-                ops.threshold_cmps += tc;
-                split = true;
-            }
-        }
-        if !split {
-            self.gemm_rows(
-                wflat,
-                data,
-                k,
-                zx,
-                0,
-                out_codes.as_mut_slice(),
-                &mut ops.requants,
-                &mut ops.threshold_cmps,
-            );
-        }
+        self.gemm_rows(
+            wflat,
+            im2col_scratch,
+            k,
+            zx,
+            out_codes.as_mut_slice(),
+            &mut ops.requants,
+            &mut ops.threshold_cmps,
+        );
         let macs = (rows * k * co_n) as u64;
         ops.macs += macs;
         ops.unpacks += w_unpack * macs;
@@ -391,9 +269,7 @@ impl QConv2d {
         out_shape
     }
 
-    /// The naive GEMM over the im2col rows starting at `r_lo` (the output
-    /// slice's length picks the row count) — the shared core of the
-    /// serial and row-parallel paths, with per-element zero-point
+    /// The naive GEMM over every im2col row, with per-element zero-point
     /// subtraction exactly as the reference kernel does it.
     #[allow(clippy::too_many_arguments)]
     fn gemm_rows(
@@ -402,16 +278,13 @@ impl QConv2d {
         data: &[u8],
         k: usize,
         zx: i64,
-        r_lo: usize,
         out: &mut [u8],
         requants: &mut u64,
         threshold_cmps: &mut u64,
     ) {
         let weights = self.weights();
         let co_n = weights.out_channels();
-        for (rr, out_row) in out.chunks_exact_mut(co_n).enumerate() {
-            let r = r_lo + rr;
-            let row = &data[r * k..(r + 1) * k];
+        for (out_row, row) in out.chunks_exact_mut(co_n).zip(data.chunks_exact(k)) {
             for (co, out_code) in out_row.iter_mut().enumerate() {
                 let zw = weights.offset().at(co) as i64;
                 let wrow = &wflat[co * k..(co + 1) * k];

@@ -68,7 +68,6 @@
 //! ```
 
 use std::mem;
-use std::sync::Arc;
 
 use mixq_quant::BitWidth;
 use mixq_tensor::Shape;
@@ -76,7 +75,6 @@ use mixq_tensor::Shape;
 use crate::backend::{Backend, KernelChoice};
 use crate::blocked::PackedPanels;
 use crate::gemm::im2col_scratch_bytes;
-use crate::threadpool::ThreadPool;
 use crate::{OpCounts, QActivation, QAdd, QAvgPool, QConv2d, QLinear};
 
 /// A node's prepacked weight operand, built **once** when the node's
@@ -315,24 +313,17 @@ impl QOp for QConv2d {
     ) -> OpOutput {
         let mut codes = arena.take_scratch();
         let wcodes = cache.and_then(PrepackedWeights::codes);
-        // Clone the pool handle out so the `&mut` buffer takes below stay
-        // disjoint borrows; the intra-node split is described on each
-        // `*_pooled`/`*_parallel` kernel.
-        let pool = arena.pool_handle();
-        let pool = pool.as_deref();
         let shape = match choice {
             KernelChoice::DirectConv => {
                 let mut aux = arena.take_aux();
-                let shape =
-                    self.execute_codes_pooled(wcodes, inputs[0], &mut codes, &mut aux, pool, ops);
+                let shape = self.execute_codes_pooled(wcodes, inputs[0], &mut codes, &mut aux, ops);
                 arena.put_aux(aux);
                 shape
             }
             KernelChoice::Im2colGemm => {
                 let mut aux = arena.take_aux();
-                let shape = self.execute_gemm_codes_parallel(
-                    wcodes, inputs[0], &mut aux, &mut codes, pool, ops,
-                );
+                let shape =
+                    self.execute_gemm_codes_pooled(wcodes, inputs[0], &mut aux, &mut codes, ops);
                 arena.put_aux(aux);
                 shape
             }
@@ -348,7 +339,7 @@ impl QOp for QConv2d {
                     }
                 };
                 let shape = self.execute_blocked_prepacked_pooled(
-                    panels, inputs[0], &mut aux, &mut acc, &mut codes, pool, ops,
+                    panels, inputs[0], &mut aux, &mut acc, &mut codes, ops,
                 );
                 arena.put_acc(acc);
                 arena.put_aux(aux);
@@ -829,7 +820,6 @@ pub struct ActivationArena {
     packed: Vec<Vec<u8>>,
     slots: Vec<Option<QActivation>>,
     last_uses: Vec<usize>,
-    pool: Option<Arc<ThreadPool>>,
 }
 
 impl ActivationArena {
@@ -873,8 +863,9 @@ impl ActivationArena {
     }
 
     /// Takes ownership of the 32-bit accumulator scratch the blocked
-    /// GEMV writes per-channel partial sums into (one `2·c_o` slice per
-    /// pool worker). Pair with [`ActivationArena::put_acc`].
+    /// GEMV writes per-channel partial sums into (`2·c_o` entries, one
+    /// per output channel of each of the two rows in flight). Pair with
+    /// [`ActivationArena::put_acc`].
     pub fn take_acc(&mut self) -> Vec<i32> {
         mem::take(&mut self.acc)
     }
@@ -907,27 +898,6 @@ impl ActivationArena {
     /// Number of packed buffers currently waiting in the pool.
     pub fn pooled_buffers(&self) -> usize {
         self.packed.len()
-    }
-
-    /// Attaches a [`ThreadPool`] so every node executed through this
-    /// arena splits its work across the pool's workers — the intra-walk
-    /// parallelism of [`QGraph::infer_batch`]. The pool is created once
-    /// by the caller and reused across walks (steady state stays
-    /// allocation-free); results are bit-identical with or without one.
-    pub fn set_pool(&mut self, pool: Arc<ThreadPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Detaches the worker pool (subsequent walks run serially).
-    pub fn clear_pool(&mut self) {
-        self.pool = None;
-    }
-
-    /// A handle to the attached worker pool, if any — cloned out so
-    /// kernels can hold it alongside `&mut` borrows of the arena's
-    /// buffers.
-    pub fn pool_handle(&self) -> Option<Arc<ThreadPool>> {
-        self.pool.clone()
     }
 }
 

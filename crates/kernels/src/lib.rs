@@ -41,10 +41,9 @@
 //! assert_eq!(ops.macs, 1);
 //! ```
 
-// `unsafe` is denied crate-wide and re-allowed in exactly two leaf
-// modules: `simd` (std::arch intrinsics behind runtime feature
-// detection) and `threadpool` (the lifetime-erased broadcast job). All
-// kernel dataflow code stays safe Rust.
+// `unsafe` is denied crate-wide and re-allowed in exactly one leaf
+// module: `simd` (std::arch intrinsics behind runtime feature
+// detection). All kernel dataflow code stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -60,7 +59,6 @@ mod pool;
 mod requant;
 pub mod simd;
 mod tensorq;
-pub mod threadpool;
 
 pub use add::QAdd;
 pub use backend::{Backend, BackendKind, KernelChoice, ReferenceBackend, TiledBackend};
@@ -77,4 +75,3 @@ pub use pool::QAvgPool;
 pub use requant::{Requantizer, ThresholdChannel};
 pub use simd::SimdLevel;
 pub use tensorq::{QActivation, QConvWeights, WeightOffset};
-pub use threadpool::{partition_bounds, ThreadPool, MAX_POOL_THREADS};

@@ -58,9 +58,10 @@ pub struct CortexM7CycleModel {
     /// dual 16-bit MAC is already folded into the per-MAC rates), so the
     /// default is `1.0` — an *exact* identity on the MAC term, not an
     /// approximation. Raise it only to model a hypothetical SIMD MCU
-    /// (e.g. Helium/M55); host-side SIMD levels and worker threads never
-    /// feed into this model, so modeled cycles are invariant under every
-    /// `--threads` / `MIXQ_FORCE_SCALAR` setting. That invariance extends
+    /// (e.g. Helium/M55); host-side SIMD levels and batch-sharding
+    /// workers never feed into this model, so modeled cycles are invariant
+    /// under every `MIXQ_FORCE_SCALAR` setting and worker count. That
+    /// invariance extends
     /// to the vectorized requantization epilogue and SIMD sub-byte
     /// pack/unpack (`mixq_kernels::simd::requant`, `mixq_quant::packing`):
     /// those kernels charge the abstract per-element ledger — `requants`,

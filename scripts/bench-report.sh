@@ -4,9 +4,10 @@
 #   BENCH_batch.json — measured host throughput (samples/sec) of the
 #     residual MobileNet per batch size and backend, the per-call-packing
 #     PR-4 baseline, and the batch-8 speedup of the prepacked tiled path.
-#   BENCH_walk.json  — the SIMD × threads scaling table of one batch-8
-#     walk: forced-scalar vs auto-detected SIMD at 1 thread, and the
-#     intra-walk worker-pool sweep, with kernel-level gemv2 ratios.
+#   BENCH_walk.json  — the SIMD × workers scaling table of batch-8
+#     evaluation: forced-scalar vs auto-detected SIMD, each with whole
+#     batches sharded across 1, 2 and 4 workers (4-worker target
+#     null/skipped on hosts with fewer than 4 cores).
 #   BENCH_serve.json — the serving-load table: p50/p99 latency, shed and
 #     degradation splits of the mixq-serve runtime per offered
 #     inter-arrival gap × worker count (4-worker target null/skipped on
@@ -16,7 +17,7 @@
 # byte-diffed in CI), these files hold *measured* numbers: commit them
 # after an intentional perf change so future PRs have a throughput
 # trajectory to compare against. Never golden-diffed. Each report stamps
-# the rustc host target, detected CPU features and thread count so a
+# the rustc host target, detected CPU features and core count so a
 # number is never read without its machine context.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -17,12 +17,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use std::sync::Arc;
-
 use mixq::core::convert::{convert, convert_with_backend, IntNetwork};
 use mixq::core::memory::QuantScheme;
 use mixq::data::{DatasetSpec, SyntheticKind};
-use mixq::kernels::{ActivationArena, OpCounts, OpKind, QOp, ThreadPool, TiledBackend};
+use mixq::kernels::{ActivationArena, OpCounts, OpKind, QOp, TiledBackend};
 use mixq::nn::qat::{MicroCnnSpec, QatNetwork};
 use mixq::quant::{BitWidth, Granularity};
 
@@ -173,20 +171,6 @@ fn steady_state_inference_is_allocation_free() {
         "steady-state batch-1 tiled inference must not touch the heap"
     );
     assert_eq!(tiled_single.1, warm_logits, "backends are bit-identical");
-
-    // Intra-walk parallelism: with a worker pool attached to the arena
-    // (created once in setup, reused every walk), the split broadcasts,
-    // per-worker accumulator slices and ledger merges must stay off the
-    // heap too — and the logits bit-identical to every serial path.
-    let pooled_steady = measure_batched_threads(&tiled_net, ds.images(), 4, 2);
-    assert_eq!(
-        pooled_steady.0, 0,
-        "steady-state intra-walk-parallel inference must not touch the heap"
-    );
-    assert_eq!(
-        pooled_steady.1, batched_steady.1,
-        "threaded walk is bit-identical"
-    );
 }
 
 /// Warm-up then measured batched steady state: returns the minimum
@@ -196,21 +180,7 @@ fn measure_batched(
     images: &mixq::tensor::Tensor<f32>,
     batch: usize,
 ) -> (u64, Vec<i32>) {
-    measure_batched_threads(net, images, batch, 1)
-}
-
-/// [`measure_batched`] with an intra-walk [`ThreadPool`] of `threads`
-/// workers attached before warm-up (`1` = serial, no pool).
-fn measure_batched_threads(
-    net: &IntNetwork,
-    images: &mixq::tensor::Tensor<f32>,
-    batch: usize,
-    threads: usize,
-) -> (u64, Vec<i32>) {
     let mut arena = ActivationArena::new();
-    if threads > 1 {
-        arena.set_pool(Arc::new(ThreadPool::new(threads)));
-    }
     let mut logits = Vec::new();
     let mut ops = OpCounts::default();
     for _ in 0..2 {

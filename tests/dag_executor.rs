@@ -9,7 +9,7 @@ use mixq::core::convert::{convert, scheme_granularity, IntNetwork};
 use mixq::core::memory::QuantScheme;
 use mixq::core::pipeline::prediction_agreement;
 use mixq::data::{Dataset, DatasetSpec, SyntheticKind};
-use mixq::kernels::{AnyOp, OpKind, QOp};
+use mixq::kernels::{AnyOp, OpKind, QOp, TiledBackend};
 use mixq::mcu::CortexM7CycleModel;
 use mixq::models::micro::mobilenet_like_residual;
 use mixq::nn::qat::{BlockSpec, MicroCnnSpec, QatNetwork};
@@ -178,17 +178,30 @@ fn mobilenet_like_residual_runs_integer_inference_end_to_end() {
     assert_eq!(int_net.flash_bytes(), node_sum);
 }
 
-/// The sharded evaluator must reproduce the sequential accuracy and op
-/// ledger exactly, for worker counts that divide the dataset and ones that
-/// do not.
+/// The batch-sharded evaluator must reproduce the sequential accuracy and
+/// op ledger exactly on both backends, for batch sizes that divide the
+/// dataset and one that leaves a partial last batch, and for worker counts
+/// that divide the batch count and ones that do not.
 #[test]
 fn parallel_evaluate_is_identical_to_sequential() {
     let (_, int_net, ds) = trained_residual(QuantScheme::PerChannelIcn, BitWidth::W4);
-    let (acc_seq, ops_seq) = int_net.evaluate(&ds);
-    for workers in [1, 3, 4, 64] {
-        let (acc_par, ops_par) = int_net.evaluate_parallel(&ds, workers);
-        assert_eq!(acc_seq, acc_par, "{workers} workers");
-        assert_eq!(ops_seq, ops_par, "{workers} workers");
+    let mut tiled = int_net.clone();
+    tiled.select_backend(&TiledBackend::default());
+    assert_ne!(
+        tiled.kernel_choices(),
+        int_net.kernel_choices(),
+        "the tiled clone lowers some node onto another kernel"
+    );
+    for (backend, net) in [("reference", &int_net), ("tiled", &tiled)] {
+        for batch in [1, 3, 8] {
+            let (acc_seq, ops_seq) = net.evaluate_batch(&ds, batch);
+            for workers in [1, 3, 4, 64] {
+                let (acc_par, ops_par) = net.evaluate_parallel_batch(&ds, workers, batch);
+                let at = format!("{backend} batch {batch}, {workers} workers");
+                assert_eq!(acc_seq, acc_par, "{at}");
+                assert_eq!(ops_seq, ops_par, "{at}");
+            }
+        }
     }
 }
 

@@ -231,13 +231,12 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
     // The Cortex-M7 cycle model prices the *abstract* ledger (MACs,
     // unpacks, requants...), never the host dataflow — so the modeled
     // deployment latency of one walk must come out identical whether the
-    // host ran forced-scalar, auto-detected SIMD, or an intra-walk worker
-    // pool. `simd_lanes` stays at its default 1.0 (single-issue scalar
-    // MCU), an exact identity on the MAC term.
+    // host ran forced-scalar or any auto-detected SIMD level. `simd_lanes`
+    // stays at its default 1.0 (single-issue scalar MCU), an exact
+    // identity on the MAC term.
     use mixq::core::convert::convert_with_backend;
-    use mixq::kernels::{simd, ActivationArena, SimdLevel, ThreadPool, TiledBackend};
+    use mixq::kernels::{simd, ActivationArena, SimdLevel, TiledBackend};
     use mixq::mcu::CortexM7CycleModel;
-    use std::sync::Arc;
 
     let ds = dataset();
     let spec = MicroCnnSpec::new(8, 8, 2, 3, &[6, 8]);
@@ -247,12 +246,9 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
     let int_net = convert_with_backend(&net, QuantScheme::PerChannelIcn, &TiledBackend::default())
         .expect("convertible");
 
-    let walk = |forced: Option<SimdLevel>, threads: usize| -> (Vec<i32>, OpCounts) {
+    let walk = |forced: Option<SimdLevel>| -> (Vec<i32>, OpCounts) {
         simd::set_forced(forced);
         let mut arena = ActivationArena::new();
-        if threads > 1 {
-            arena.set_pool(Arc::new(ThreadPool::new(threads)));
-        }
         let mut logits = Vec::new();
         let mut ops = OpCounts::default();
         let x = int_net.quantize_input_items_pooled(ds.images(), 0, 4, &mut arena);
@@ -265,29 +261,27 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
 
     let model = CortexM7CycleModel::default();
     assert_eq!(model.simd_lanes, 1.0, "MCU model defaults to scalar issue");
-    let (base_logits, base_ops) = walk(Some(SimdLevel::Scalar), 1);
+    let (base_logits, base_ops) = walk(Some(SimdLevel::Scalar));
     let base_cycles = model.cycles_from_counts(&base_ops);
     assert!(base_cycles > 0);
     // Sweep every SIMD level the host can express (each one routes the
     // blocked GEMM through the vectorized requantization epilogue and the
-    // SIMD sub-byte pack/unpack) plus threaded variants: codes, ledger and
-    // modeled cycles must never move.
-    let mut settings: Vec<(Option<SimdLevel>, usize)> =
-        vec![(None, 1), (Some(SimdLevel::Scalar), 2), (None, 4)];
+    // SIMD sub-byte pack/unpack): codes, ledger and modeled cycles must
+    // never move.
+    let mut settings: Vec<Option<SimdLevel>> = vec![None];
     for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
         if level.available() {
-            settings.push((Some(level), 1));
-            settings.push((Some(level), 2));
+            settings.push(Some(level));
         }
     }
-    for (forced, threads) in settings {
-        let (logits, ops) = walk(forced, threads);
-        assert_eq!(logits, base_logits, "{forced:?}/{threads}T logits");
-        assert_eq!(ops, base_ops, "{forced:?}/{threads}T ledger");
+    for forced in settings {
+        let (logits, ops) = walk(forced);
+        assert_eq!(logits, base_logits, "{forced:?} logits");
+        assert_eq!(ops, base_ops, "{forced:?} ledger");
         assert_eq!(
             model.cycles_from_counts(&ops),
             base_cycles,
-            "{forced:?}/{threads}T modeled cycles"
+            "{forced:?} modeled cycles"
         );
     }
     // A hypothetical vector MCU (`simd_lanes` > 1) scales only the MAC

@@ -900,45 +900,6 @@ proptest! {
     }
 
     #[test]
-    fn threaded_walk_matches_serial_bit_identical(
-        depth in 1usize..4,
-        ch in 1usize..6,
-        h in 4usize..8,
-        k in prop_oneof![Just(1usize), Just(3usize)],
-        batch in 1usize..5,
-        wbits in bitwidth_strategy(),
-        abits in bitwidth_strategy(),
-        with_skip in any::<bool>(),
-        dw in 0usize..4,
-        tiled in any::<bool>(),
-        threads in 2usize..5,
-        zx in 0u8..4,
-        seed in 0u64..1000,
-    ) {
-        // An intra-walk worker pool splits row blocks of each blocked GEMM
-        // and channel blocks of each direct conv (the depthwise core
-        // included) across threads; the merged result — logits and ledger
-        // — must be bit-identical to the serial pooled walk.
-        use std::sync::Arc;
-        use mixq::kernels::{ActivationArena, ThreadPool};
-        let (g, xb) = random_residual_dag(depth, ch, h, k, batch, wbits, abits,
-                                          dw_input(dw), with_skip, tiled, zx, seed);
-        let mut serial_arena = ActivationArena::new();
-        let mut serial_logits = Vec::new();
-        let mut serial_ops = OpCounts::default();
-        g.infer_batch(xb.clone(), &mut serial_arena, &mut serial_logits, &mut serial_ops);
-
-        let mut pooled_arena = ActivationArena::new();
-        pooled_arena.set_pool(Arc::new(ThreadPool::new(threads)));
-        let mut pooled_logits = Vec::new();
-        let mut pooled_ops = OpCounts::default();
-        g.infer_batch(xb, &mut pooled_arena, &mut pooled_logits, &mut pooled_ops);
-
-        prop_assert_eq!(pooled_logits, serial_logits);
-        prop_assert_eq!(pooled_ops, serial_ops);
-    }
-
-    #[test]
     fn vectorized_requant_is_bit_identical(
         co in 1usize..40,
         kind in 0usize..3, // 0 = ICN, 1 = folded per-layer, 2 = thresholds
@@ -1058,13 +1019,13 @@ proptest! {
         kind in 0usize..3, // 0 = ICN, 1 = folded per-layer, 2 = thresholds
         seed in 0u64..1000,
     ) {
-        // Every route into the depthwise kernel — per-call packed weights,
-        // the decoded-weight prepack with caller staging, and the channel
-        // split over a worker pool — at every SIMD level the host runs,
-        // against an independently written naive loop: codes and ledger.
-        // Channel counts cross both the narrow-layer pixel grouping
-        // (c ≤ 32) and the 64-channel block; zero-points include Zw = −2.
-        use mixq::kernels::{simd, ThreadPool};
+        // Every route into the depthwise kernel — per-call packed weights
+        // and the decoded-weight prepack with caller staging — at every
+        // SIMD level the host runs, against an independently written naive
+        // loop: codes and ledger. Channel counts cross both the
+        // narrow-layer pixel grouping (c ≤ 32) and the 64-channel block;
+        // zero-points include Zw = −2.
+        use mixq::kernels::simd;
         let qw = wbits.qmax() as u64;
         let qx = xbits.qmax() as u64;
         let h = if same { h } else { h.max(k) };
@@ -1118,7 +1079,6 @@ proptest! {
         let x = QActivation::from_codes(in_shape, &codes, xbits, (seed % (qx + 1)) as u8);
         let (want, want_ops) = naive_depthwise(&conv, &x);
 
-        let pool = ThreadPool::new(2);
         for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
             if !level.available() {
                 continue;
@@ -1128,15 +1088,12 @@ proptest! {
             let y = conv.execute(&x, &mut ops);
             prop_assert_eq!(y.codes(), want.clone(), "{:?} codes", level);
             prop_assert_eq!(ops, want_ops, "{:?} ledger", level);
-            for threads in [None, Some(&pool)] {
-                let (mut out, mut aux) = (Vec::new(), Vec::new());
-                let mut ops = OpCounts::default();
-                conv.execute_codes_pooled(Some(&conv.weights().codes()), &x, &mut out,
-                                          &mut aux, threads, &mut ops);
-                prop_assert_eq!(&out, &want, "{:?} pooled={} codes", level, threads.is_some());
-                prop_assert_eq!(ops, want_ops, "{:?} pooled={} ledger", level,
-                                threads.is_some());
-            }
+            let (mut out, mut aux) = (Vec::new(), Vec::new());
+            let mut ops = OpCounts::default();
+            conv.execute_codes_pooled(Some(&conv.weights().codes()), &x, &mut out, &mut aux,
+                                      &mut ops);
+            prop_assert_eq!(&out, &want, "{:?} prepacked codes", level);
+            prop_assert_eq!(ops, want_ops, "{:?} prepacked ledger", level);
         }
         simd::set_forced(None);
     }
