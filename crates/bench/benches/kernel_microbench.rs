@@ -1,7 +1,8 @@
 //! Microbenchmarks of the integer kernels (the substrate behind Figure 2's
 //! latency axis): convolution at 8/4/2-bit operands, depthwise vs
-//! pointwise, and ICN vs thresholds requantization — plus the `QGraph`
-//! executor against a hand-rolled layer loop.
+//! pointwise, ICN vs thresholds requantization, the direct loop against
+//! the blocked GEMM with a per-phase breakdown of the latter — plus the
+//! `QGraph` executor against a hand-rolled layer loop.
 //!
 //! These measure *host* throughput with a simple median-of-samples timer
 //! (the build environment has no registry access for criterion; the shape
@@ -17,8 +18,8 @@ use std::time::Instant;
 
 use mixq_bench::harness::{backend_arg, batch_arg};
 use mixq_kernels::{
-    Backend, OpCounts, QActivation, QAvgPool, QConv2d, QConvWeights, QGraph, Requantizer,
-    ThresholdChannel, WeightOffset,
+    ActivationArena, Backend, KernelChoice, OpCounts, OpOutput, QActivation, QAvgPool, QConv2d,
+    QConvWeights, QGraph, QOp, Requantizer, ThresholdChannel, WeightOffset,
 };
 use mixq_quant::{BitWidth, FixedPointMultiplier};
 use mixq_tensor::{ConvGeometry, Padding, Shape};
@@ -42,6 +43,28 @@ fn time_us<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
 
 fn report(group: &str, name: &str, us: f64) {
     println!("{group:>18} / {name:<14} {us:>10.1} µs");
+}
+
+/// Times `conv` on the blocked GEMM the way a graph node runs it: through
+/// `QOp::execute_kernel` with the prepack cache built once, recycling
+/// each output into the arena.
+fn time_blocked(conv: &QConv2d, x: &QActivation) -> f64 {
+    let (cache, _) = conv.prepack(KernelChoice::BlockedGemm);
+    let mut arena = ActivationArena::new();
+    time_us(SAMPLES, || {
+        let mut ops = OpCounts::default();
+        let out = conv.execute_kernel(
+            KernelChoice::BlockedGemm,
+            cache.as_ref(),
+            &[black_box(x)],
+            &mut arena,
+            &mut ops,
+        );
+        if let OpOutput::Act(y) = out {
+            arena.recycle(y);
+        }
+        ops
+    })
 }
 
 fn conv_layer(weight_bits: BitWidth, per_channel: bool, thresholds: bool) -> QConv2d {
@@ -181,9 +204,8 @@ fn bench_depthwise_vs_pointwise() {
     report("dw_vs_pw", "avgpool", us);
 }
 
-/// The three dense-convolution dataflows head to head: the direct
-/// output-stationary loop, the naive im2col + GEMM, and the
-/// register-blocked GEMM.
+/// The two dense-convolution dataflows head to head: the direct
+/// output-stationary loop and the register-blocked GEMM.
 fn bench_conv_dataflows() {
     let co = 32;
     let pw = pointwise(co);
@@ -195,16 +217,7 @@ fn bench_conv_dataflows() {
         pw.execute(black_box(&x), &mut ops)
     });
     report("conv_dataflow", "direct", us);
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        pw.execute_gemm(black_box(&x), &mut ops)
-    });
-    report("conv_dataflow", "im2col_gemm", us);
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        pw.execute_blocked(black_box(&x), &mut ops)
-    });
-    report("conv_dataflow", "blocked_gemm", us);
+    report("conv_dataflow", "blocked_gemm", time_blocked(&pw, &x));
 }
 
 /// Per-phase breakdown of the blocked-GEMM dataflow: where does a layer's
@@ -238,12 +251,9 @@ fn bench_phase_breakdown() {
         report("phase_breakdown", name, us);
     }
 
-    // Phase 2: the full blocked GEMM (dot-product core + fused epilogue).
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        conv.execute_blocked(black_box(&x8), &mut ops)
-    });
-    report("phase_breakdown", "gemm_blocked", us);
+    // Phase 2: the full blocked GEMM (gather, dot-product core and fused
+    // epilogue) against its prepacked panels.
+    report("phase_breakdown", "gemm_blocked", time_blocked(&conv, &x8));
 
     // Phase 3: the requantization epilogue alone, over exactly the
     // accumulator volume the layer produces.

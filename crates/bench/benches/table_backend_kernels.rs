@@ -8,15 +8,11 @@
 //!   im2col scratch each choice prices;
 //! * **modeled cycles** — the Cortex-M7 cycle model priced per selected
 //!   kernel from the executed ledger (deterministic; golden-tested);
-//! * **measured host latency** — median wall time of the naive
-//!   `execute_gemm` vs the register-blocked `execute_blocked` inner kernel
-//!   on each dense convolution's real input, plus whole-graph runs per
-//!   backend (host-dependent; printed only, never goldened). The blocked
-//!   kernel must beat the naive GEMM ≥ 1.1× on the pointwise layers —
-//!   the margin shrank when the naive GEMM stopped rebuilding its weight
-//!   matrix through per-element packed extraction (it now borrows 8-bit
-//!   weight bytes directly), so both dataflows are faster in absolute
-//!   terms than the PR-4 versions.
+//! * **measured host latency** — median wall time of the direct loop vs
+//!   the register-blocked GEMM on each dense convolution's real input,
+//!   the blocked kernel run as a graph node runs it (`QOp::execute_kernel`
+//!   with its prepack cache built once), plus whole-graph runs per
+//!   backend (host-dependent; printed only, never goldened).
 //!
 //! Run with: `cargo bench --bench table_backend_kernels`
 //! (`--json <path>` writes the deterministic selection table;
@@ -32,7 +28,8 @@ use mixq_core::convert::{convert_with_backend, IntNetwork};
 use mixq_core::memory::QuantScheme;
 use mixq_data::{DatasetSpec, SyntheticKind};
 use mixq_kernels::{
-    AnyOp, Backend, OpCounts, OpOutput, QActivation, QOp, ReferenceBackend, TiledBackend,
+    ActivationArena, AnyOp, Backend, KernelChoice, OpCounts, OpOutput, QActivation, QOp,
+    ReferenceBackend, TiledBackend,
 };
 use mixq_mcu::CortexM7CycleModel;
 use mixq_models::micro::mobilenet_like_residual;
@@ -156,17 +153,18 @@ fn main() {
         scratch_tiled
     );
 
-    // Measured host latency of the two GEMM dataflows on each dense conv's
-    // real input (the direct loop shown for context).
-    println!("\n== measured host latency: naive im2col GEMM vs blocked GEMM ==");
+    // Measured host latency of the two dense-conv kernels on each dense
+    // conv's real input.
+    println!("\n== measured host latency: direct loop vs blocked GEMM ==");
     println!(
-        "{:<10} {:>7} {:>12} {:>12} {:>12} {:>9}",
-        "node", "kind", "direct µs", "gemm µs", "blocked µs", "speedup"
+        "{:<10} {:>7} {:>12} {:>12} {:>9}",
+        "node", "kind", "direct µs", "blocked µs", "speedup"
     );
-    rule(68);
+    rule(55);
     let x = reference.quantize_input(image);
     let slots = intermediates(&reference, &x);
-    let (mut pw_gemm_us, mut pw_blocked_us) = (0.0f64, 0.0f64);
+    let mut arena = ActivationArena::new();
+    let (mut pw_direct_us, mut pw_blocked_us) = (0.0f64, 0.0f64);
     for node in reference.graph().nodes() {
         let AnyOp::Conv(conv) = node.op() else {
             continue;
@@ -181,34 +179,39 @@ fn main() {
             let mut ops = OpCounts::default();
             conv.execute(black_box(input), &mut ops)
         });
-        let gemm = time_us(|| {
-            let mut ops = OpCounts::default();
-            conv.execute_gemm(black_box(input), &mut ops)
-        });
+        let (cache, _) = conv.prepack(KernelChoice::BlockedGemm);
         let blocked = time_us(|| {
             let mut ops = OpCounts::default();
-            conv.execute_blocked(black_box(input), &mut ops)
+            let out = conv.execute_kernel(
+                KernelChoice::BlockedGemm,
+                cache.as_ref(),
+                &[black_box(input)],
+                &mut arena,
+                &mut ops,
+            );
+            if let OpOutput::Act(y) = out {
+                arena.recycle(y);
+            }
+            ops
         });
         let pointwise = conv.geometry().kernel_area() == 1;
         if pointwise {
-            pw_gemm_us += gemm;
+            pw_direct_us += direct;
             pw_blocked_us += blocked;
         }
         println!(
-            "{:<10} {:>7} {:>12.1} {:>12.1} {:>12.1} {:>8.2}x",
+            "{:<10} {:>7} {:>12.1} {:>12.1} {:>8.2}x",
             node.name(),
             if pointwise { "pw" } else { "conv" },
             direct,
-            gemm,
             blocked,
-            gemm / blocked
+            direct / blocked
         );
     }
-    rule(68);
+    rule(55);
     println!(
-        "pointwise layers: naive gemm {pw_gemm_us:.1} µs -> blocked {pw_blocked_us:.1} µs \
-         ({:.2}x; target >= 1.1x)",
-        pw_gemm_us / pw_blocked_us
+        "pointwise layers: direct {pw_direct_us:.1} µs -> blocked {pw_blocked_us:.1} µs ({:.2}x)",
+        pw_direct_us / pw_blocked_us
     );
 
     // Whole-graph host run under the --backend/--batch flags (every leg of
@@ -218,14 +221,14 @@ fn main() {
     let mut target = reference.clone();
     target.select_backend(&flagged);
     let us = if batch > 1 {
-        let mut arena = mixq_kernels::ActivationArena::new();
+        let mut arena = ActivationArena::new();
         let mut logits = Vec::new();
         let mut ops = OpCounts::default();
         time_us(|| {
             let xb = target.quantize_input_items_pooled(ds.images(), 0, batch, &mut arena);
             target
                 .graph()
-                .infer_batch(xb, &mut arena, &mut logits, &mut ops);
+                .infer_pooled(xb, &mut arena, &mut logits, &mut ops);
         }) / batch as f64
     } else {
         time_us(|| target.infer_detailed(black_box(image)))

@@ -59,7 +59,7 @@ fn throughput(net: &IntNetwork, images: &Tensor<f32>, batch: usize) -> (f64, Vec
         let mut start = 0usize;
         while start < n {
             let x = net.quantize_input_items_pooled(images, start, batch, arena);
-            net.graph().infer_batch(x, arena, logits, ops);
+            net.graph().infer_pooled(x, arena, logits, ops);
             if start == 0 {
                 if let Some(first) = keep_first.take() {
                     first.extend(logits.iter().copied());

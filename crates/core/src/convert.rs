@@ -260,7 +260,7 @@ impl IntNetwork {
     /// image tensor, starting at `start`, into **one** batched activation
     /// `(count, h, w, c)`, drawing all buffers from `arena` — the batch
     /// twin of [`IntNetwork::quantize_input_pooled`], feeding
-    /// [`QGraph::infer_batch`](mixq_kernels::QGraph::infer_batch) without
+    /// [`QGraph::infer_pooled`](mixq_kernels::QGraph::infer_pooled) without
     /// heap allocation in steady state.
     ///
     /// # Panics
@@ -312,7 +312,8 @@ impl IntNetwork {
         let mut logits = Vec::new();
         let mut ops = OpCounts::default();
         let x = self.quantize_input_items_pooled(images, 0, batch, &mut arena);
-        self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
+        self.graph
+            .infer_pooled(x, &mut arena, &mut logits, &mut ops);
         let classes = self.linear().out_features();
         let per_sample = logits.chunks(classes).map(<[i32]>::to_vec).collect();
         (per_sample, ops)
@@ -354,7 +355,8 @@ impl IntNetwork {
         while start < n {
             let count = batch.min(n - start);
             let x = self.quantize_input_items_pooled(dataset.images(), start, count, &mut arena);
-            self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
+            self.graph
+                .infer_pooled(x, &mut arena, &mut logits, &mut ops);
             for (j, row) in logits.chunks(classes).enumerate() {
                 if argmax(row) == dataset.labels()[start + j] {
                     correct += 1;
@@ -422,7 +424,8 @@ impl IntNetwork {
                             count,
                             &mut arena,
                         );
-                        self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
+                        self.graph
+                            .infer_pooled(x, &mut arena, &mut logits, &mut ops);
                         for (j, row) in logits.chunks(classes).enumerate() {
                             if argmax(row) == dataset.labels()[start + j] {
                                 correct += 1;

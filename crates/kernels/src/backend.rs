@@ -7,7 +7,8 @@
 //! that binding an explicit, pluggable API:
 //!
 //! * [`KernelChoice`] — the closed set of kernel implementations a node can
-//!   resolve to (direct convolution, im2col + GEMM, register-blocked GEMM);
+//!   resolve to: the direct loop, the scalar oracle, and the
+//!   register-blocked GEMM, the one fast path for dense convolutions;
 //! * [`Backend`] — the selection policy: given a node's op, input shapes
 //!   and bit-widths, pick a choice at **graph build time**;
 //! * [`ReferenceBackend`] — direct kernels everywhere (bit-identical to the
@@ -36,16 +37,17 @@
 //! use mixq_quant::BitWidth;
 //! use mixq_tensor::Shape;
 //!
-//! /// Forces the plain im2col + GEMM path on every standard convolution.
-//! struct NaiveGemmEverywhere;
+//! /// Forces the blocked GEMM on every standard convolution, whatever its
+//! /// modeled cost.
+//! struct BlockedEverywhere;
 //!
-//! impl Backend for NaiveGemmEverywhere {
+//! impl Backend for BlockedEverywhere {
 //!     fn name(&self) -> &'static str {
-//!         "naive-gemm"
+//!         "blocked-everywhere"
 //!     }
 //!     fn select(&self, op: &AnyOp, _inputs: &[Shape], _in_bits: &[BitWidth]) -> KernelChoice {
 //!         match op {
-//!             AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::Im2colGemm,
+//!             AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::BlockedGemm,
 //!             _ => KernelChoice::DirectConv,
 //!         }
 //!     }
@@ -57,28 +59,25 @@ use std::fmt;
 use mixq_quant::BitWidth;
 use mixq_tensor::Shape;
 
-use crate::gemm::im2col_scratch_bytes;
+use crate::blocked::im2col_scratch_bytes;
 use crate::graph::AnyOp;
 
 /// The concrete kernel implementation a graph node resolved to at build
-/// time. All choices produce bit-identical output codes; they differ in
-/// dataflow — cycles and transient scratch RAM.
+/// time. Both choices produce bit-identical output codes; they differ in
+/// dataflow — cycles and transient scratch RAM. A node runs its choice
+/// through [`QOp::execute_kernel`](crate::QOp::execute_kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
-    /// The direct output-stationary loop ([`QConv2d::execute_codes`]),
+    /// The direct output-stationary loop, the scalar oracle
+    /// ([`QConv2d::execute`](crate::QConv2d::execute) runs it one-shot),
     /// which runs depthwise layers on the depthwise fast core; the only
     /// implementation for depthwise convolutions, pooling, the classifier
     /// head and residual adds.
-    ///
-    /// [`QConv2d::execute_codes`]: crate::QConv2d::execute_codes
     DirectConv,
-    /// Image-to-column expansion followed by a row-major GEMM
-    /// ([`QConv2d::execute_gemm`](crate::QConv2d::execute_gemm)); needs an
-    /// im2col scratch buffer.
-    Im2colGemm,
     /// im2col followed by the register-blocked, cache-tiled GEMM inner
-    /// kernel ([`QConv2d::execute_blocked`](crate::QConv2d::execute_blocked));
-    /// same scratch as [`KernelChoice::Im2colGemm`], fastest dense path.
+    /// kernel ([`crate::blocked`]), the fast dense path; needs an im2col
+    /// scratch buffer unless it borrows the input
+    /// ([`QConv2d::blocked_borrows_input`](crate::QConv2d::blocked_borrows_input)).
     BlockedGemm,
 }
 
@@ -88,15 +87,8 @@ impl KernelChoice {
     pub const fn label(self) -> &'static str {
         match self {
             KernelChoice::DirectConv => "direct",
-            KernelChoice::Im2colGemm => "im2col_gemm",
             KernelChoice::BlockedGemm => "blocked_gemm",
         }
-    }
-
-    /// Whether the choice lowers the convolution through an im2col + GEMM
-    /// dataflow (and therefore needs the im2col scratch buffer).
-    pub const fn is_gemm(self) -> bool {
-        matches!(self, KernelChoice::Im2colGemm | KernelChoice::BlockedGemm)
     }
 }
 
@@ -452,10 +444,6 @@ mod tests {
     #[test]
     fn choice_labels() {
         assert_eq!(KernelChoice::DirectConv.label(), "direct");
-        assert_eq!(KernelChoice::Im2colGemm.to_string(), "im2col_gemm");
-        assert_eq!(KernelChoice::BlockedGemm.label(), "blocked_gemm");
-        assert!(KernelChoice::Im2colGemm.is_gemm());
-        assert!(KernelChoice::BlockedGemm.is_gemm());
-        assert!(!KernelChoice::DirectConv.is_gemm());
+        assert_eq!(KernelChoice::BlockedGemm.to_string(), "blocked_gemm");
     }
 }

@@ -1,9 +1,14 @@
 //! The register-blocked, cache-tiled GEMM convolution path — the fast
 //! dense kernel behind
-//! [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm).
+//! [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm) — and
+//! the im2col expansion that feeds it. This is the dataflow CMSIS-NN's
+//! `conv` kernels use on the Cortex-M (§6 lowers convolutions to an
+//! image-to-column expansion followed by a matrix product, so the
+//! dual-MAC `SMLAD` streams through contiguous operands). Padded taps are
+//! materialized as the input zero-point `Zx`, which contributes exactly
+//! zero to `Σ (X − Zx)(W − Zw)`, so the inner loop stays branch-free.
 //!
-//! Same im2col dataflow as [`QConv2d::execute_gemm`], restructured the way
-//! a production GEMM inner kernel is:
+//! The GEMM is restructured the way a production GEMM inner kernel is:
 //!
 //! * **double zero-point hoisting** — `Σ (X − Zx)(W − Zw)` expands to
 //!   `Σ X·W − Zw·Σ X − Zx·Σ W + k·Zx·Zw`, with `Σ X` computed once per
@@ -28,11 +33,15 @@
 //!   borrow of the packed bytes (8-bit input) or one linear unpack
 //!   (sub-byte) instead of a per-element gather.
 //!
-//! The abstract [`OpCounts`] ledger charged is identical to the
-//! [`QConv2d::execute_gemm`] path — the blocked kernel reorganizes the
-//! dataflow, not the mathematical work; the per-choice rates of the
-//! Cortex-M7 cycle model express the dataflow difference, and the host
-//! SIMD level never changes modeled cycles.
+//! The abstract [`OpCounts`] ledger prices the padded GEMM: `rows·k·c_o`
+//! MACs for `rows` output pixels (over the batch), patch length
+//! `k = k_h·k_w·c_i` and `c_o` output channels; one `act_load` per
+//! non-padded input code the expansion reads (the direct loop's MACs over
+//! `c_o`); one `unpack` per MAC for sub-byte weights plus one per load for
+//! a sub-byte input; one `offset_sub` per MAC under per-channel `Zw`; and
+//! the direct loop's requantization, comparison, store and bias counts.
+//! The per-choice rates of the Cortex-M7 cycle model express the dataflow
+//! difference, and the host SIMD level never changes modeled cycles.
 
 use mixq_tensor::Shape;
 
@@ -96,31 +105,6 @@ impl PackedPanels {
     /// Output channels covered.
     pub fn out_channels(&self) -> usize {
         self.sumw.len()
-    }
-
-    /// Per-channel `Σ W` (feeds the hoisted `Zx·Σ W − k·Zx·Zw` term).
-    pub fn sumw(&self) -> &[i64] {
-        &self.sumw
-    }
-
-    /// The pair-interleaved panel bytes (benches time the GEMV directly).
-    pub fn pairs(&self) -> &[u8] {
-        &self.pairs
-    }
-
-    /// The odd-`k` tail panel bytes.
-    pub fn tail(&self) -> &[u8] {
-        &self.tail
-    }
-
-    /// Per-channel weight zero-points `Zw` (widened).
-    pub fn zw(&self) -> &[i64] {
-        &self.zw
-    }
-
-    /// Per-channel hoisted base terms `Σ W − k·Zw`.
-    pub fn base(&self) -> &[i64] {
-        &self.base
     }
 
     /// Read-only footprint of the artifact in bytes: the `c_o · k`
@@ -206,88 +190,119 @@ impl QConv2d {
             && in_bits == mixq_quant::BitWidth::W8
     }
 
-    /// Runs the layer through the register-blocked GEMM path.
-    /// Bit-identical to [`QConv2d::execute`] and [`QConv2d::execute_gemm`];
-    /// see the [module docs](self) for the dataflow.
+    /// Expands the input into its im2col matrix, written into a
+    /// caller-owned buffer (cleared and resized in place), and returns
+    /// `(rows, k)`: a `rows × k` matrix of input codes where
+    /// `rows = n·out_h·out_w` and `k = k_h·k_w·c_i`, with `Zx` at padded
+    /// taps. The graph executor feeds the buffer from its arena, so
+    /// GEMM-lowered nodes allocate nothing in steady state.
     ///
     /// # Panics
     ///
-    /// Panics on depthwise layers.
-    pub fn execute_blocked(&self, x: &QActivation, ops: &mut OpCounts) -> QActivation {
-        let mut out_codes = Vec::new();
-        let out_shape = self.execute_blocked_codes(x, &mut out_codes, ops);
-        QActivation::from_codes(
-            out_shape,
-            &out_codes,
-            self.requant().out_bits(),
-            self.requant().zero_point().clamp(0, 255) as u8,
-        )
-    }
-
-    /// The codes-only core of [`QConv2d::execute_blocked`]: writes the
-    /// unpacked output codes into `out_codes` (cleared and resized in
-    /// place) and returns the output shape. The weight panel is built per
-    /// call — the one-shot fallback for callers without a prepack cache;
-    /// the graph executor dispatches
-    /// [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm)
-    /// nodes through [`QConv2d::execute_blocked_prepacked`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on depthwise layers.
-    pub fn execute_blocked_codes(
+    /// Panics on depthwise layers (CMSIS-NN lowers those directly) or on a
+    /// channel mismatch.
+    pub fn im2col_into(
         &self,
         x: &QActivation,
-        out_codes: &mut Vec<u8>,
+        data: &mut Vec<u8>,
         ops: &mut OpCounts,
-    ) -> Shape {
-        let panels = self.prepack_panels();
-        self.execute_blocked_prepacked(&panels, x, &mut Vec::new(), out_codes, ops)
+    ) -> (usize, usize) {
+        assert!(
+            !self.weights().is_depthwise(),
+            "im2col path applies to standard convolutions"
+        );
+        let in_shape = x.shape();
+        assert_eq!(in_shape.c, self.weights().in_channels(), "input channels");
+        let out_shape = self.output_shape(in_shape);
+        let k = self.geometry().kernel_area() * in_shape.c;
+        let rows = out_shape.pixels() * out_shape.n;
+        data.clear();
+        data.resize(rows * k, 0);
+        let loads = if x.needs_unpack() {
+            // Sub-byte staging: decode the whole input once (SIMD unpack)
+            // into the slack of the scratch buffer, then gather rows from
+            // the flat decode instead of extracting bits per element. Same
+            // bytes and the same abstract ledger — `unpacks` still charges
+            // the per-element model the microcontroller would pay.
+            let vol = in_shape.volume();
+            data.resize(rows * k + vol, 0);
+            let (head, tail) = data.split_at_mut(rows * k);
+            x.unpack_into(&mut tail[..vol]);
+            let loads = self.im2col_rows(x, out_shape, head, &tail[..vol]);
+            data.truncate(rows * k);
+            loads
+        } else {
+            // One code per byte already: every valid tap is a straight
+            // `memcpy` from the input bytes.
+            self.im2col_rows(x, out_shape, data.as_mut_slice(), x.as_bytes())
+        };
+        ops.act_loads += loads;
+        if x.needs_unpack() {
+            ops.unpacks += loads;
+        }
+        (rows, k)
     }
 
-    /// Runs the layer through the blocked GEMM against a prepacked weight
-    /// panel built once by [`QConv2d::prepack_panels`], drawing the im2col
-    /// (or sub-byte linear-unpack) expansion from `data_scratch` (cleared
-    /// and resized in place). Bit-identical — output codes **and** abstract
-    /// [`OpCounts`] ledger — to the per-call-packing
-    /// [`QConv2d::execute_blocked_codes`]; the hot path just stops
-    /// rebuilding the panel, the `Σ W` sums and the hoisted zero-point
-    /// tables on every call. (This one-shot wrapper allocates its own
-    /// accumulator scratch; the graph executor's steady-state path is
-    /// [`QConv2d::execute_blocked_prepacked_pooled`] with arena-recycled
-    /// buffers.)
+    /// Gathers every im2col row into `out` and returns the non-padded load
+    /// tally.
+    ///
+    /// `flat` holds the input codes decoded to one per byte in NHWC order
+    /// (either the 8-bit tensor's own bytes or a staged sub-byte decode):
+    /// each valid tap copies one contiguous channel span, and padded taps
+    /// fill with `Zx`.
+    fn im2col_rows(&self, x: &QActivation, out_shape: Shape, out: &mut [u8], flat: &[u8]) -> u64 {
+        let in_shape = x.shape();
+        let g = self.geometry();
+        let (pt, pl) = g.pad_top_left(in_shape.h, in_shape.w);
+        let k = g.kernel_area() * in_shape.c;
+        let c = in_shape.c;
+        let zx = x.zero_point();
+        let mut loads = 0u64;
+        for (row, row_out) in out.chunks_exact_mut(k).enumerate() {
+            let ox = row % out_shape.w;
+            let oy = (row / out_shape.w) % out_shape.h;
+            let n = row / (out_shape.w * out_shape.h);
+            let mut col = 0usize;
+            for ky in 0..g.kh {
+                let iy = (oy * g.stride + ky) as isize - pt as isize;
+                let y_ok = iy >= 0 && iy < in_shape.h as isize;
+                for kx in 0..g.kw {
+                    let ix = (ox * g.stride + kx) as isize - pl as isize;
+                    let span = &mut row_out[col..col + c];
+                    if !y_ok || ix < 0 || ix >= in_shape.w as isize {
+                        span.fill(zx);
+                    } else {
+                        loads += c as u64;
+                        let base = ((n * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c;
+                        span.copy_from_slice(&flat[base..base + c]);
+                    }
+                    col += c;
+                }
+            }
+        }
+        loads
+    }
+
+    /// The blocked-GEMM core behind
+    /// [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm):
+    /// runs the layer against a prepacked weight panel built once by
+    /// [`QConv2d::prepack_panels`], writing the unpacked output codes into
+    /// `out_codes` (cleared and resized in place) and returning the output
+    /// shape. The im2col (or sub-byte linear-unpack) expansion is drawn
+    /// from `data_scratch` and the `2·c_o` accumulators from
+    /// `acc_scratch` — the arena's buffers on the graph path — so the call
+    /// is allocation-free once the buffers reach steady capacity. See the
+    /// [module docs](self) for the dataflow and the ledger it charges.
     ///
     /// # Panics
     ///
     /// Panics on depthwise layers, on an input channel mismatch, or if the
     /// panels were built for a different patch length or channel count.
-    pub fn execute_blocked_prepacked(
-        &self,
-        panels: &PackedPanels,
-        x: &QActivation,
-        data_scratch: &mut Vec<u8>,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> Shape {
-        self.execute_blocked_prepacked_pooled(
-            panels,
-            x,
-            data_scratch,
-            &mut Vec::new(),
-            out_codes,
-            ops,
-        )
-    }
-
-    /// [`QConv2d::execute_blocked_prepacked`] with caller-owned `2·c_o`
-    /// accumulator scratch (the arena's on the graph path). Bit-identical
-    /// to it; allocation-free once `data_scratch`, `acc_scratch` and
-    /// `out_codes` reach steady capacity.
-    ///
-    /// # Panics
-    ///
-    /// See [`QConv2d::execute_blocked_prepacked`].
-    pub fn execute_blocked_prepacked_pooled(
+    // Out of line, as it was while public: inlined into its one caller,
+    // `QOp::execute_kernel`, it cost the perfbench `serve_saturate`
+    // workload ~4% of its samples/s on a 2-vCPU x86_64 Xeon host.
+    #[inline(never)]
+    pub(crate) fn execute_blocked_prepacked_pooled(
         &self,
         panels: &PackedPanels,
         x: &QActivation,
@@ -364,8 +379,7 @@ impl QConv2d {
             &mut ops.threshold_cmps,
         );
 
-        // Same abstract ledger as the naive GEMM path (identical
-        // mathematical work; only the dataflow differs).
+        // The padded GEMM's ledger (see the module docs).
         let macs = (rows * k * co_n) as u64;
         ops.macs += macs;
         ops.unpacks += w_unpack * macs;
@@ -376,6 +390,16 @@ impl QConv2d {
         }
         out_shape
     }
+}
+
+/// Size in bytes of the im2col scratch buffer for a layer over an input
+/// shape, at the input's bit precision (used by deployments that expand
+/// whole rows).
+pub fn im2col_scratch_bytes(conv: &QConv2d, input: Shape) -> usize {
+    let g = conv.geometry();
+    let k = g.kernel_area() * input.c;
+    let out = conv.output_shape(input);
+    out.pixels() * out.n * k
 }
 
 /// The dual-row GEMV sweep over the `rows` im2col rows of `data`,
@@ -578,7 +602,7 @@ fn blocked_rows_long(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QConvWeights, WeightOffset};
+    use crate::{ActivationArena, KernelChoice, OpOutput, QConvWeights, QOp, WeightOffset};
     use mixq_quant::{BitWidth, FixedPointMultiplier};
     use mixq_tensor::{ConvGeometry, Padding};
 
@@ -623,8 +647,62 @@ mod tests {
         QActivation::from_codes(shape, &codes, bits, zx)
     }
 
+    fn depthwise_conv() -> QConv2d {
+        let w = QConvWeights::new(
+            Shape::new(2, 3, 3, 1),
+            true,
+            &[0; 18],
+            BitWidth::W8,
+            WeightOffset::PerLayer(0),
+        );
+        QConv2d::new(
+            w,
+            ConvGeometry::new(3, 3, 1, Padding::Same),
+            Requantizer::icn(
+                vec![0, 0],
+                vec![FixedPointMultiplier::ZERO; 2],
+                0,
+                BitWidth::W8,
+            ),
+        )
+    }
+
+    /// Runs the layer on the blocked kernel through the graph's dispatch
+    /// point, packing the panels per call.
+    fn blocked(conv: &QConv2d, x: &QActivation, ops: &mut OpCounts) -> QActivation {
+        let out = conv.execute_kernel(
+            KernelChoice::BlockedGemm,
+            None,
+            &[x],
+            &mut ActivationArena::new(),
+            ops,
+        );
+        let OpOutput::Act(y) = out else {
+            unreachable!("a convolution yields an activation")
+        };
+        y
+    }
+
+    /// The ledger the blocked kernel charges (see the module docs), in
+    /// closed form from the direct oracle's ledger `od` on the same input.
+    fn blocked_ledger(conv: &QConv2d, x: &QActivation, od: &OpCounts) -> OpCounts {
+        let out = conv.output_shape(x.shape());
+        let co = out.c as u64;
+        let k = (conv.geometry().kernel_area() * x.shape().c) as u64;
+        let macs = (out.pixels() * out.n) as u64 * k * co;
+        let act_loads = od.macs / co;
+        OpCounts {
+            macs,
+            act_loads,
+            unpacks: conv.weights().needs_unpack() as u64 * macs
+                + x.needs_unpack() as u64 * act_loads,
+            offset_subs: conv.weights().offset().is_per_channel() as u64 * macs,
+            ..*od
+        }
+    }
+
     #[test]
-    fn blocked_matches_naive_gemm_and_direct() {
+    fn blocked_matches_direct() {
         // Shapes chosen to exercise the GEMV's vector-tile remainders:
         // co ∈ {1..6} covers sub-tile channel counts and odd remainders;
         // k ∈ {1, 3} kernels give odd and even patch lengths; odd row
@@ -635,38 +713,32 @@ mod tests {
             (5, 4, 1, 1),
             (6, 1, 3, 1),
             (1, 3, 1, 1),
+            (4, 3, 1, 2),
         ] {
-            for per_channel in [false, true] {
+            for (h, per_channel) in [(5, false), (5, true), (6, false), (6, true)] {
                 let conv = make_conv(co, ci, k, stride, BitWidth::W4, per_channel);
-                let x = make_input(5, 5, ci, BitWidth::W8, 3);
+                let x = make_input(h, h, ci, BitWidth::W8, 3);
                 let mut od = OpCounts::default();
-                let mut og = OpCounts::default();
                 let mut ob = OpCounts::default();
                 let direct = conv.execute(&x, &mut od);
-                let gemm = conv.execute_gemm(&x, &mut og);
-                let blocked = conv.execute_blocked(&x, &mut ob);
-                assert_eq!(
-                    direct, blocked,
-                    "co={co} ci={ci} k={k} s={stride} pc={per_channel}"
-                );
-                assert_eq!(gemm, blocked);
-                // The ledgers of the two GEMM dataflows are identical.
-                assert_eq!(og, ob);
+                let blocked = blocked(&conv, &x, &mut ob);
+                let case = format!("co={co} ci={ci} k={k} s={stride} h={h} pc={per_channel}");
+                assert_eq!(direct, blocked, "{case}");
+                assert_eq!(ob, blocked_ledger(&conv, &x, &od), "{case}");
             }
         }
     }
 
     #[test]
     fn blocked_matches_on_sub_byte_operands() {
-        let conv = make_conv(3, 2, 3, 1, BitWidth::W2, true);
-        let x = make_input(6, 5, 2, BitWidth::W4, 0);
-        let mut og = OpCounts::default();
-        let mut ob = OpCounts::default();
-        assert_eq!(
-            conv.execute_gemm(&x, &mut og),
-            conv.execute_blocked(&x, &mut ob)
-        );
-        assert_eq!(og, ob);
+        for (k, h) in [(3, 5), (3, 6), (1, 6)] {
+            let conv = make_conv(3, 2, k, 1, BitWidth::W2, true);
+            let x = make_input(h, 5, 2, BitWidth::W4, 0);
+            let mut od = OpCounts::default();
+            let mut ob = OpCounts::default();
+            assert_eq!(conv.execute(&x, &mut od), blocked(&conv, &x, &mut ob));
+            assert_eq!(ob, blocked_ledger(&conv, &x, &od), "k={k} h={h}");
+        }
     }
 
     #[test]
@@ -677,7 +749,7 @@ mod tests {
         let x = make_input(4, 4, 2, BitWidth::W8, 7);
         let mut od = OpCounts::default();
         let mut ob = OpCounts::default();
-        assert_eq!(conv.execute(&x, &mut od), conv.execute_blocked(&x, &mut ob));
+        assert_eq!(conv.execute(&x, &mut od), blocked(&conv, &x, &mut ob));
     }
 
     #[test]
@@ -691,8 +763,14 @@ mod tests {
         let panels = conv.prepack_panels();
         let mut hot = Vec::new();
         let mut ops = OpCounts::default();
-        let shape =
-            conv.execute_blocked_prepacked(&panels, &x, &mut Vec::new(), &mut hot, &mut ops);
+        let shape = conv.execute_blocked_prepacked_pooled(
+            &panels,
+            &x,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut hot,
+            &mut ops,
+        );
         let rows = shape.pixels() * shape.n;
         let mut cold = vec![0u8; rows * panels.out_channels()];
         let (mut rq, mut tc) = (0u64, 0u64);
@@ -716,27 +794,47 @@ mod tests {
     }
 
     #[test]
+    fn im2col_geometry() {
+        let conv = make_conv(2, 3, 3, 2, BitWidth::W8, false);
+        let x = make_input(8, 8, 3, BitWidth::W8, 5);
+        let mut ops = OpCounts::default();
+        let mut data = Vec::new();
+        let (rows, k) = conv.im2col_into(&x, &mut data, &mut ops);
+        assert_eq!(rows, 4 * 4);
+        assert_eq!(k, 9 * 3);
+        assert_eq!(data.len(), 16 * 27);
+        assert_eq!(im2col_scratch_bytes(&conv, x.shape()), 16 * 27);
+    }
+
+    #[test]
+    fn im2col_pads_with_zero_point() {
+        // 1x1 input, 3x3 kernel: every tap except the centre is padding.
+        let conv = make_conv(1, 1, 3, 1, BitWidth::W8, false);
+        let x = QActivation::from_codes(Shape::feature_map(1, 1, 1), &[9], BitWidth::W8, 7);
+        let mut ops = OpCounts::default();
+        let mut data = Vec::new();
+        let (_, k) = conv.im2col_into(&x, &mut data, &mut ops);
+        let row = &data[..k];
+        assert_eq!(row.len(), 9);
+        assert_eq!(row[4], 9, "centre tap is the real value");
+        for (i, &v) in row.iter().enumerate() {
+            if i != 4 {
+                assert_eq!(v, 7, "padded taps carry Zx");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "standard convolutions")]
-    fn depthwise_rejected() {
-        let w = QConvWeights::new(
-            Shape::new(2, 3, 3, 1),
-            true,
-            &[0; 18],
-            BitWidth::W8,
-            WeightOffset::PerLayer(0),
-        );
-        let conv = QConv2d::new(
-            w,
-            ConvGeometry::new(3, 3, 1, Padding::Same),
-            Requantizer::icn(
-                vec![0, 0],
-                vec![FixedPointMultiplier::ZERO; 2],
-                0,
-                BitWidth::W8,
-            ),
-        );
+    fn im2col_depthwise_rejected() {
         let x = make_input(4, 4, 2, BitWidth::W8, 0);
         let mut ops = OpCounts::default();
-        let _ = conv.execute_blocked(&x, &mut ops);
+        let _ = depthwise_conv().im2col_into(&x, &mut Vec::new(), &mut ops);
+    }
+
+    #[test]
+    #[should_panic(expected = "standard convolutions")]
+    fn depthwise_rejected() {
+        let _ = depthwise_conv().prepack_panels();
     }
 }

@@ -150,87 +150,35 @@ impl QConv2d {
     ///
     /// Panics if the input channel count disagrees with the weights.
     pub fn execute(&self, x: &QActivation, ops: &mut OpCounts) -> QActivation {
-        self.execute_buffered(x, &mut Vec::new(), ops)
-    }
-
-    /// [`QConv2d::execute`] writing its unpacked output codes through
-    /// `out_codes` — the hook the [`crate::QGraph`] executor uses to reuse
-    /// one arena buffer across layers instead of allocating per layer.
-    pub fn execute_buffered(
-        &self,
-        x: &QActivation,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> QActivation {
-        let out_shape = self.execute_codes(x, out_codes, ops);
+        let mut out_codes = Vec::new();
+        let out_shape = self.execute_codes_pooled(None, x, &mut out_codes, &mut Vec::new(), ops);
         QActivation::from_codes(
             out_shape,
-            out_codes,
+            &out_codes,
             self.requant.out_bits(),
-            self.requant.zero_point().clamp(0, 255) as u8,
+            self.out_zero_point(),
         )
     }
 
-    /// The codes-only kernel core: runs the convolution writing unpacked
-    /// output codes into `out_codes` (cleared and resized in place) and
-    /// returns the output shape, without packing an output tensor. The
-    /// arena-aware executor packs the codes into recycled storage itself.
+    /// The direct-kernel core behind
+    /// [`KernelChoice::DirectConv`](crate::KernelChoice::DirectConv): writes
+    /// the unpacked output codes into `out_codes` (cleared and resized in
+    /// place) and returns the output shape.
+    ///
+    /// `wcodes` is the optional prepacked cache, the weight codes one per
+    /// byte in `(c_o, k_h, k_w, c_i)` order, so the inner loop reads plain
+    /// bytes (8-bit weights borrow their packed bytes without one). `aux`
+    /// is caller-owned staging: a depthwise layer on the fast core
+    /// ([`crate::simd::depthwise::mac_pixels`]) decodes a 2- or 4-bit input
+    /// into it once, so every tap reads plain bytes. Neither host copy is
+    /// charged: the [`OpCounts`] ledger keeps charging one unpack per
+    /// sub-byte operand per MAC, as the microcontroller pays.
     ///
     /// # Panics
     ///
-    /// Panics if the input channel count disagrees with the weights.
-    pub fn execute_codes(
-        &self,
-        x: &QActivation,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> Shape {
-        self.execute_codes_with(None, x, out_codes, ops)
-    }
-
-    /// [`QConv2d::execute_codes`] with an optional prepacked weight cache:
-    /// `wcodes`, when given, holds the weight codes decoded to one per byte
-    /// in `(c_o, k_h, k_w, c_i)` order, so the inner loop reads plain bytes
-    /// instead of mask-and-shift extracting each sub-byte operand. 8-bit
-    /// weights take the equivalent borrow of their packed bytes even
-    /// without a cache. Bit-identical to the uncached path, including the
-    /// abstract [`OpCounts`] ledger (which keeps pricing the deployed
-    /// packed-flash reads, not the host cache).
-    ///
-    /// A depthwise layer with a sub-byte input decodes it into a staging
-    /// buffer allocated here; [`QConv2d::execute_codes_pooled`] draws that
-    /// buffer from the caller instead.
-    ///
-    /// # Panics
-    ///
-    /// See [`QConv2d::execute_codes`]; additionally panics if `wcodes` has
-    /// the wrong length.
-    pub fn execute_codes_with(
-        &self,
-        wcodes: Option<&[u8]>,
-        x: &QActivation,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> Shape {
-        self.execute_codes_pooled(wcodes, x, out_codes, &mut Vec::new(), ops)
-    }
-
-    /// [`QConv2d::execute_codes_with`] with caller-owned staging (`aux`,
-    /// the arena's auxiliary buffer on the graph path): a depthwise layer
-    /// on the fast core ([`crate::simd::depthwise::mac_pixels`]) with a 2-
-    /// or 4-bit input decodes it once into the head of `aux` (the SIMD
-    /// `unpack_into` the im2col staging uses), so every tap reads plain
-    /// bytes.
-    ///
-    /// That decode is a host-side staging copy, charged nowhere, exactly
-    /// like the prepack caches and the im2col staging: the ledger keeps
-    /// charging one unpack per sub-byte operand per MAC, as the
-    /// microcontroller pays.
-    ///
-    /// # Panics
-    ///
-    /// See [`QConv2d::execute_codes_with`].
-    pub fn execute_codes_pooled(
+    /// Panics if the input channel count disagrees with the weights or
+    /// `wcodes` has the wrong length.
+    pub(crate) fn execute_codes_pooled(
         &self,
         wcodes: Option<&[u8]>,
         x: &QActivation,

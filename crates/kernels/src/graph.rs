@@ -73,8 +73,7 @@ use mixq_quant::BitWidth;
 use mixq_tensor::Shape;
 
 use crate::backend::{Backend, KernelChoice};
-use crate::blocked::PackedPanels;
-use crate::gemm::im2col_scratch_bytes;
+use crate::blocked::{im2col_scratch_bytes, PackedPanels};
 use crate::{OpCounts, QActivation, QAdd, QAvgPool, QConv2d, QLinear};
 
 /// A node's prepacked weight operand, built **once** when the node's
@@ -89,7 +88,7 @@ use crate::{OpCounts, QActivation, QAdd, QAvgPool, QConv2d, QLinear};
 ///   [`PackedPanels`] (pair-interleaved GEMV weight panels + hoisted
 ///   `Σ W`/zero-point tables), so the per-call panel build of the PR-4
 ///   kernel disappears;
-/// * a direct or im2col-GEMM convolution — and the classifier head — with
+/// * a direct convolution — and the classifier head — with
 ///   **sub-byte** weights caches the codes decoded to one per byte in
 ///   `(c_o, k_h, k_w, c_i)` order, so the inner loop stops mask-and-shift
 ///   extracting every operand (8-bit weights already read their packed
@@ -291,11 +290,7 @@ impl QOp for QConv2d {
             // CMSIS-NN lowers depthwise directly; there is no im2col form.
             &[KernelChoice::DirectConv]
         } else {
-            &[
-                KernelChoice::DirectConv,
-                KernelChoice::Im2colGemm,
-                KernelChoice::BlockedGemm,
-            ]
+            &[KernelChoice::DirectConv, KernelChoice::BlockedGemm]
         }
     }
 
@@ -312,18 +307,11 @@ impl QOp for QConv2d {
         ops: &mut OpCounts,
     ) -> OpOutput {
         let mut codes = arena.take_scratch();
-        let wcodes = cache.and_then(PrepackedWeights::codes);
         let shape = match choice {
             KernelChoice::DirectConv => {
                 let mut aux = arena.take_aux();
+                let wcodes = cache.and_then(PrepackedWeights::codes);
                 let shape = self.execute_codes_pooled(wcodes, inputs[0], &mut codes, &mut aux, ops);
-                arena.put_aux(aux);
-                shape
-            }
-            KernelChoice::Im2colGemm => {
-                let mut aux = arena.take_aux();
-                let shape =
-                    self.execute_gemm_codes_pooled(wcodes, inputs[0], &mut aux, &mut codes, ops);
                 arena.put_aux(aux);
                 shape
             }
@@ -379,7 +367,6 @@ impl QOp for QConv2d {
             // depthwise core's sub-byte decode is host staging, priced
             // nowhere, like the im2col path's).
             KernelChoice::DirectConv => 0,
-            KernelChoice::Im2colGemm => im2col_scratch_bytes(self, inputs[0]),
             // The blocked kernel's pointwise identity fast path borrows an
             // 8-bit input's packed storage zero-copy — no expansion at all.
             KernelChoice::BlockedGemm => {
@@ -555,7 +542,7 @@ fn prepack_conv_weights(
     }
 }
 
-/// The decoded-code prepack for direct/im2col kernels and the head: only
+/// The decoded-code prepack for the direct kernel and the head: only
 /// sub-byte weights gain anything (one unpack + one store per code, once).
 fn prepack_decoded_codes(weights: &crate::QConvWeights) -> (Option<PrepackedWeights>, OpCounts) {
     if !weights.needs_unpack() {
@@ -1383,6 +1370,19 @@ impl QGraph {
     /// perform no heap allocation (asserted by the `allocation_free`
     /// integration test).
     ///
+    /// One walk computes a whole batch: `input` carries the batch in its
+    /// shape's `n` dimension (N stacked NHWC items); every kernel sweeps
+    /// all N samples against the node's prepacked weights, so per-layer
+    /// dispatch, weight-panel streaming and sub-byte weight decoding are
+    /// amortized across the batch, and `logits_out` receives
+    /// `N · classes` values in row-major `(n, classes)` order —
+    /// bit-identical to N single-sample calls (asserted by the
+    /// `batch_matches_single_sample_logits` proptest). Steady-state
+    /// batched calls are allocation-free too, once the arena buffers
+    /// reached their (batch-scaled) capacities; [`QGraph::peak_ram_bytes`]
+    /// and [`QGraph::peak_scratch_bytes`] price the batch dimension when
+    /// given the batched input shape.
+    ///
     /// # Panics
     ///
     /// Panics if the graph does not end in a classifier head, plus the
@@ -1424,35 +1424,6 @@ impl QGraph {
             arena.recycle(a); // head-terminated graphs leave no activation
         }
         assert!(have_logits, "graph does not end in a classifier head");
-    }
-
-    /// Batched allocation-free inference: one walk of the graph computes a
-    /// whole batch. `input` carries the batch in its shape's `n` dimension
-    /// (N stacked NHWC items); every kernel sweeps all N samples against
-    /// the node's prepacked weights, so per-layer dispatch, weight-panel
-    /// streaming and sub-byte weight decoding are amortized across the
-    /// batch, and `logits_out` receives `N · classes` values in row-major
-    /// `(n, classes)` order — bit-identical to N single-sample
-    /// [`QGraph::infer_pooled`] calls (asserted by the
-    /// `batch_matches_single_sample_logits` proptest).
-    ///
-    /// Like the single-sample path, steady-state calls perform zero heap
-    /// allocations once the arena buffers reached their (batch-scaled)
-    /// capacities; [`QGraph::peak_ram_bytes`] and
-    /// [`QGraph::peak_scratch_bytes`] price the batch dimension when given
-    /// the batched input shape.
-    ///
-    /// # Panics
-    ///
-    /// See [`QGraph::infer_pooled`].
-    pub fn infer_batch(
-        &self,
-        input: QActivation,
-        arena: &mut ActivationArena,
-        logits_out: &mut Vec<i32>,
-        ops: &mut OpCounts,
-    ) {
-        self.infer_pooled(input, arena, logits_out, ops);
     }
 }
 
@@ -1790,30 +1761,22 @@ mod tests {
         );
         let input = Shape::feature_map(8, 8, 3);
         let w8 = [BitWidth::W8];
-        // The direct loop runs in place; only the GEMM lowerings expand.
+        // The direct loop runs in place; only the GEMM lowering expands.
         assert_eq!(
             QOp::scratch_bytes(&dense, KernelChoice::DirectConv, &[input], &w8),
             0
-        );
-        assert_eq!(
-            QOp::scratch_bytes(&dense, KernelChoice::Im2colGemm, &[input], &w8),
-            8 * 8 * 9 * 3
         );
         assert_eq!(
             QOp::scratch_bytes(&dense, KernelChoice::BlockedGemm, &[input], &w8),
             8 * 8 * 9 * 3
         );
         // The blocked kernel's pointwise identity path borrows an 8-bit
-        // input zero-copy (no scratch); the naive GEMM still expands, and
-        // a sub-byte input needs the linear unpack buffer.
+        // input zero-copy (no scratch); a sub-byte input needs the linear
+        // unpack buffer.
         let pw = pointwise(3, 4, 1);
         assert_eq!(
             QOp::scratch_bytes(&pw, KernelChoice::BlockedGemm, &[input], &w8),
             0
-        );
-        assert_eq!(
-            QOp::scratch_bytes(&pw, KernelChoice::Im2colGemm, &[input], &w8),
-            8 * 8 * 3
         );
         assert_eq!(
             QOp::scratch_bytes(&pw, KernelChoice::BlockedGemm, &[input], &[BitWidth::W4]),
@@ -1913,7 +1876,7 @@ mod tests {
                 _inputs: &[Shape],
                 _in_bits: &[BitWidth],
             ) -> KernelChoice {
-                KernelChoice::Im2colGemm
+                KernelChoice::BlockedGemm
             }
         }
         let input = Shape::feature_map(5, 5, 2);

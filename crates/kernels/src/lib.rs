@@ -52,7 +52,6 @@ pub mod backend;
 pub mod blocked;
 mod conv;
 mod counter;
-pub mod gemm;
 pub mod graph;
 mod linear;
 mod pool;
@@ -62,10 +61,9 @@ mod tensorq;
 
 pub use add::QAdd;
 pub use backend::{Backend, BackendKind, KernelChoice, ReferenceBackend, TiledBackend};
-pub use blocked::PackedPanels;
+pub use blocked::{im2col_scratch_bytes, PackedPanels};
 pub use conv::QConv2d;
 pub use counter::OpCounts;
-pub use gemm::{im2col_scratch_bytes, Im2Col};
 pub use graph::{
     ActivationArena, AnyOp, GraphNode, GraphRun, LayerRun, OpKind, OpOutput, PrepackedWeights,
     QGraph, QOp,

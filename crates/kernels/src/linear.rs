@@ -72,7 +72,7 @@ impl QLinear {
     /// Panics if the input feature count disagrees.
     pub fn execute(&self, x: &QActivation, ops: &mut OpCounts) -> Vec<i32> {
         let mut logits = Vec::with_capacity(x.shape().n * self.out_features());
-        self.execute_into(x, &mut logits, ops);
+        self.execute_into_with(None, x, &mut logits, ops);
         logits
     }
 
@@ -82,19 +82,12 @@ impl QLinear {
     /// row-major `(n, classes)` order — the head sweeps every sample of
     /// the batch in one call.
     ///
-    /// # Panics
-    ///
-    /// Panics if the input feature count disagrees.
-    pub fn execute_into(&self, x: &QActivation, logits: &mut Vec<i32>, ops: &mut OpCounts) {
-        self.execute_into_with(None, x, logits, ops)
-    }
-
-    /// [`QLinear::execute_into`] with an optional prepacked weight cache:
-    /// `wcodes`, when given, holds the weight codes decoded to one per byte
-    /// in `(c_o, c_i)` order, so sub-byte weights skip the per-element
-    /// mask-and-shift extraction (8-bit weights take the equivalent borrow
-    /// of their packed bytes even without a cache). Bit-identical to the
-    /// uncached path, including the abstract [`OpCounts`] ledger.
+    /// `wcodes`, when given, is the prepacked weight cache: the codes
+    /// decoded to one per byte in `(c_o, c_i)` order, so sub-byte weights
+    /// skip the per-element mask-and-shift extraction (8-bit weights take
+    /// the equivalent borrow of their packed bytes even without a cache).
+    /// Bit-identical to the uncached path, including the abstract
+    /// [`OpCounts`] ledger.
     ///
     /// # Panics
     ///

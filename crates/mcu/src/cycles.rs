@@ -27,10 +27,6 @@ pub struct CortexM7CycleModel {
     /// Cycles per MAC, standard/pointwise convolution (8-bit operands,
     /// direct output-stationary loop).
     pub conv_cycles_per_mac: f64,
-    /// Cycles per MAC for a dense convolution lowered onto the plain
-    /// im2col + GEMM dataflow ([`KernelChoice::Im2colGemm`]): contiguous
-    /// operands let `SMLAD` dual-issue more often than the direct loop.
-    pub gemm_cycles_per_mac: f64,
     /// Cycles per MAC for the register-blocked, cache-tiled GEMM
     /// ([`KernelChoice::BlockedGemm`]): operand reuse across the microtile
     /// removes most per-MAC load traffic.
@@ -74,7 +70,6 @@ impl Default for CortexM7CycleModel {
     fn default() -> Self {
         CortexM7CycleModel {
             conv_cycles_per_mac: 2.1,
-            gemm_cycles_per_mac: 1.9,
             blocked_gemm_cycles_per_mac: 1.4,
             dw_cycles_per_mac: 7.0,
             fc_cycles_per_mac: 2.0,
@@ -218,13 +213,12 @@ impl CortexM7CycleModel {
     ///
     /// Unlike [`CortexM7CycleModel::cycles_from_counts`], the operator
     /// class is known, so the right per-MAC rate applies — and the
-    /// [`KernelChoice`] picks between the direct, GEMM and blocked-GEMM
-    /// rates for dense convolutions, so a backend's selection and the
+    /// [`KernelChoice`] picks between the direct and blocked-GEMM rates
+    /// for dense convolutions, so a backend's selection and the
     /// latency model always agree. This is the path the `QGraph` executor's
     /// per-layer records feed.
     pub fn kernel_cycles(&self, kind: OpKind, choice: KernelChoice, ops: &OpCounts) -> u64 {
         let per_mac = match (kind, choice) {
-            (OpKind::Conv, KernelChoice::Im2colGemm) => self.gemm_cycles_per_mac,
             (OpKind::Conv, KernelChoice::BlockedGemm) => self.blocked_gemm_cycles_per_mac,
             // Residual adds are MAC-free; their cost is the per-element
             // requantization and load/store traffic priced below.
@@ -471,11 +465,10 @@ mod tests {
             ..OpCounts::default()
         };
         let direct = m.kernel_cycles(OpKind::Conv, KernelChoice::DirectConv, &ops);
-        let gemm = m.kernel_cycles(OpKind::Conv, KernelChoice::Im2colGemm, &ops);
         let blocked = m.kernel_cycles(OpKind::Conv, KernelChoice::BlockedGemm, &ops);
         assert!(
-            blocked < gemm && gemm < direct,
-            "per-MAC rates must order blocked < gemm < direct: {blocked} {gemm} {direct}"
+            blocked < direct,
+            "per-MAC rates must order blocked < direct: {blocked} {direct}"
         );
         // op_cycles is the DirectConv special case — the pre-backend rate.
         assert_eq!(direct, m.op_cycles(OpKind::Conv, &ops));

@@ -204,7 +204,7 @@ impl ServeRuntime {
         let ClockSource::Manual(clock) = &self.shared.clock else {
             panic!("advance_clock requires a manual clock");
         };
-        let now = clock.advance(us);
+        let now = advance_manual(&self.shared, clock, us);
         self.shared.work_cv.notify_all();
         now
     }
@@ -287,6 +287,17 @@ impl Drop for WorkerGuard {
             self.shared.death_cv.notify_all();
         }
     }
+}
+
+/// Advances the manual clock under the engine lock; the caller notifies
+/// `work_cv` afterwards. A worker reads the clock and parks on `work_cv`
+/// while it holds that lock, so an advance made under the lock lands
+/// either before the worker's read or after it parked, where the notify
+/// wakes it. Advanced without the lock, it could land between the two,
+/// and the notify would be lost on a worker that is not yet waiting.
+fn advance_manual(shared: &Shared, clock: &ManualClock, us: u64) -> u64 {
+    let _engine = lock(&shared.engine);
+    clock.advance(us)
 }
 
 fn spawn_worker(shared: Arc<Shared>, idx: usize) -> JoinHandle<()> {
@@ -411,7 +422,7 @@ fn execute_batch(shared: &Shared, arena: &mut ActivationArena, mut batch: Batch)
     if let Some(delay_us) = shared.faults.delay_for_batch(batch.seq) {
         match &shared.clock {
             ClockSource::Manual(clock) => {
-                clock.advance(delay_us);
+                advance_manual(shared, clock, delay_us);
                 shared.work_cv.notify_all();
             }
             ClockSource::Monotonic { .. } => {
@@ -556,7 +567,7 @@ fn compute(
     let mut logits = Vec::new();
     let mut ops = OpCounts::default();
     let x = net.quantize_input_items_pooled(&stacked, 0, reqs.len(), arena);
-    net.graph().infer_batch(x, arena, &mut logits, &mut ops);
+    net.graph().infer_pooled(x, arena, &mut logits, &mut ops);
     logits
         .chunks(net.num_classes())
         .map(<[i32]>::to_vec)
@@ -570,5 +581,77 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+
+    use mixq_core::convert::convert_with_backend;
+    use mixq_core::memory::QuantScheme;
+    use mixq_data::{DatasetSpec, SyntheticKind};
+    use mixq_kernels::ReferenceBackend;
+    use mixq_models::micro::mobilenet_like_residual;
+    use mixq_nn::qat::QatNetwork;
+    use mixq_quant::Granularity;
+
+    use super::*;
+
+    /// A one-worker runtime on a manual clock over a tiny calibrated
+    /// (untrained) residual CNN.
+    fn manual_runtime() -> ServeRuntime {
+        let ds = DatasetSpec::new(SyntheticKind::Bars, 8, 8, 3, 4)
+            .with_samples(4)
+            .generate(1);
+        let mut net = QatNetwork::build(&mobilenet_like_residual(8, 3, 8, 4), 41);
+        net.calibrate_input(ds.images());
+        net.enable_fake_quant(Granularity::PerChannel);
+        let net = convert_with_backend(&net, QuantScheme::PerChannelIcn, &ReferenceBackend)
+            .expect("calibrated network converts");
+        let mut registry = ModelRegistry::new();
+        registry
+            .register("cnn", vec![("w8".into(), net)])
+            .expect("verified network registers");
+        ServeRuntime::start_with(
+            registry,
+            ServeConfig::default().with_workers(1),
+            ClockSource::Manual(ManualClock::new()),
+            FaultPlan::new(),
+        )
+        .expect("valid runtime")
+    }
+
+    #[test]
+    fn advance_clock_waits_for_a_deciding_worker() {
+        let rt = manual_runtime();
+        let shared = &rt.shared;
+        // Stand in for a worker that has read the clock under the engine
+        // lock and is about to park.
+        let engine = lock(&shared.engine);
+        let t0 = shared.clock.now_us();
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let rt = &rt;
+            scope.spawn(move || {
+                rt.advance_clock(100);
+                tx.send(()).expect("test thread is listening");
+            });
+            // The advance must not land between the read and the park...
+            assert!(
+                rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "the clock moved while a worker held the engine lock"
+            );
+            // ...and its notify must reach the worker once it parks.
+            let (_engine, wait) = shared
+                .work_cv
+                .wait_timeout_while(engine, Duration::from_secs(30), |_| {
+                    shared.clock.now_us() == t0
+                })
+                .unwrap_or_else(|e| e.into_inner());
+            assert!(!wait.timed_out(), "the advance's notify was lost");
+        });
+        assert!(rx.recv().is_ok(), "advance_clock returned");
+        assert_eq!(rt.now_us(), t0 + 100);
     }
 }

@@ -443,7 +443,7 @@ fn verify_conv(
             ),
         });
     }
-    if depthwise && choice.is_gemm() {
+    if depthwise && choice == KernelChoice::BlockedGemm {
         violations.push(Violation::ShapeMismatch {
             node: name.to_string(),
             detail: "depthwise layer lowered to a GEMM kernel".to_string(),
@@ -496,8 +496,8 @@ fn verify_conv(
             violations.extend(geo);
             (chunk, acc)
         }
-        // Direct / naive GEMM paths accumulate (x − Zx)(w − Zw) in i64.
-        (false, _) => {
+        // The direct loop accumulates (x − Zx)(w − Zw) in i64.
+        (false, KernelChoice::DirectConv) => {
             let acc =
                 Interval::new(-(qx as i128) * qw as i128, qx as i128 * qw as i128).sum_of(taps);
             if !acc.fits_i64() {

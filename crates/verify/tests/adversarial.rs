@@ -3,15 +3,19 @@
 //! reasons about, asserting (1) the kernels stay bit-identical across
 //! SIMD levels at the corners, (2) the verifier's intervals are *tight* —
 //! achieved by the adversarial inputs, not merely sound — and (3) forged
-//! geometry, schedules and joins are rejected with the precise
-//! diagnostic.
+//! geometry, schedules, joins and kernel lowerings are rejected with the
+//! precise diagnostic.
 
 use mixq_kernels::simd::{self, SimdLevel, MAX_DOT_LEN};
-use mixq_kernels::{QAdd, Requantizer, ThresholdChannel};
-use mixq_quant::BitWidth;
-use mixq_tensor::Shape;
+use mixq_kernels::{
+    AnyOp, KernelChoice, QAdd, QConv2d, QConvWeights, QGraph, Requantizer, ThresholdChannel,
+    TiledBackend, WeightOffset,
+};
+use mixq_quant::{BitWidth, FixedPointMultiplier};
+use mixq_tensor::{ConvGeometry, Padding, Shape};
 use mixq_verify::{
-    blocked_chunk_len, check_dot_geometry, check_schedule, requant_gate, verify_add_node, Violation,
+    blocked_chunk_len, check_dot_geometry, check_schedule, requant_gate, verify_add_node,
+    verify_graph, Violation,
 };
 
 /// Runs `gemv2` over an all-max panel (`x = w = 255` everywhere) at dot
@@ -189,6 +193,52 @@ fn forged_join_rejected_with_precise_diagnostics() {
     let (cert, v) = verify_add_node("join", &add, [shape, shape], bits, [Some(10), Some(12)]);
     assert!(v.is_empty(), "{v:?}");
     assert!(cert.vectorizable);
+}
+
+#[test]
+fn forged_depthwise_gemm_lowering_rejected() {
+    let c = 8;
+    let input = Shape::feature_map(4, 4, c);
+    let conv = |depthwise: bool, k: usize| {
+        let ci = if depthwise { 1 } else { c };
+        QConv2d::new(
+            QConvWeights::new(
+                Shape::new(c, k, k, ci),
+                depthwise,
+                &vec![1; c * k * k * ci],
+                BitWidth::W8,
+                WeightOffset::PerLayer(0),
+            ),
+            ConvGeometry::new(k, k, 1, Padding::Same),
+            Requantizer::icn(
+                vec![0; c],
+                vec![FixedPointMultiplier::from_real(0.01); c],
+                0,
+                BitWidth::W8,
+            ),
+        )
+    };
+    // A pointwise conv the tiled backend lowers onto the blocked GEMM
+    // verifies clean.
+    let mut g = QGraph::with_input(input, BitWidth::W8);
+    g.push_with("pw", conv(false, 1), &TiledBackend::default());
+    assert_eq!(g.kernel_choices(), vec![KernelChoice::BlockedGemm]);
+    let report = verify_graph("honest", &g, input, BitWidth::W8);
+    assert!(report.ok(), "{}", report.render());
+
+    // A depthwise conv swapped into the node keeps the GEMM lowering,
+    // which has no depthwise form.
+    *g.nodes_mut()[0].op_mut() = AnyOp::Conv(conv(true, 3));
+    let report = verify_graph("forged", &g, input, BitWidth::W8);
+    assert!(
+        report.violations.iter().any(|v| matches!(
+            v,
+            Violation::ShapeMismatch { node, detail }
+                if node == "pw" && detail.contains("GEMM")
+        )),
+        "{}",
+        report.render()
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! `QGraph::infer_pooled`) performs **zero heap allocations** — every code
 //! scratch, packed activation and logits buffer is recycled. The same
 //! guarantee is asserted at **batch > 1** (`quantize_input_items_pooled` +
-//! `QGraph::infer_batch`) and for the **tiled backend**, whose
+//! the same `QGraph::infer_pooled` walk) and for the **tiled backend**, whose
 //! blocked-GEMM nodes stream their prepacked weight panels and draw the
 //! im2col expansion from the arena's auxiliary scratch. The network's
 //! depthwise node reads a **4-bit** activation, so the depthwise core's
@@ -186,7 +186,7 @@ fn measure_batched(
     for _ in 0..2 {
         let x = net.quantize_input_items_pooled(images, 0, batch, &mut arena);
         net.graph()
-            .infer_batch(x, &mut arena, &mut logits, &mut ops);
+            .infer_pooled(x, &mut arena, &mut logits, &mut ops);
     }
     let mut leaked = u64::MAX;
     for _ in 0..5 {
@@ -194,7 +194,7 @@ fn measure_batched(
         for _ in 0..8 {
             let x = net.quantize_input_items_pooled(images, 0, batch, &mut arena);
             net.graph()
-                .infer_batch(x, &mut arena, &mut logits, &mut ops);
+                .infer_pooled(x, &mut arena, &mut logits, &mut ops);
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         leaked = leaked.min(after - before);

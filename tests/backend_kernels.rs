@@ -107,9 +107,9 @@ fn input_act(shape: Shape) -> QActivation {
 }
 
 /// Recomputes `peak_scratch_bytes` from each node's actual choice by hand:
-/// GEMM-lowered convs price their im2col expansion, except the blocked
-/// kernel's pointwise identity path over an 8-bit input, which borrows the
-/// packed input zero-copy.
+/// blocked-GEMM convs price their im2col expansion, except on the
+/// pointwise identity path over an 8-bit input, which borrows the packed
+/// input zero-copy.
 fn manual_peak_scratch(g: &QGraph, input: Shape) -> usize {
     let mut shapes = vec![input];
     let mut bits = vec![BitWidth::W8];
@@ -118,7 +118,6 @@ fn manual_peak_scratch(g: &QGraph, input: Shape) -> usize {
         let in_shapes: Vec<Shape> = node.inputs().iter().map(|&t| shapes[t]).collect();
         let in_bits: Vec<BitWidth> = node.inputs().iter().map(|&t| bits[t]).collect();
         let expansion = match (node.op(), node.choice()) {
-            (AnyOp::Conv(c), KernelChoice::Im2colGemm) => im2col_scratch_bytes(c, in_shapes[0]),
             (AnyOp::Conv(c), KernelChoice::BlockedGemm) if !c.blocked_borrows_input(in_bits[0]) => {
                 im2col_scratch_bytes(c, in_shapes[0])
             }

@@ -1,14 +1,17 @@
 //! Shared helpers for the integration tests: lowering a shape-level
 //! [`NetworkSpec`] onto a real executor [`QGraph`] with dummy (all-zero)
 //! weights, so planner-vs-assignment agreement can be checked without
-//! training a network.
+//! training a network; and running a convolution on the blocked GEMM
+//! next to the closed-form ledger it must charge against the direct
+//! oracle's.
 
 // Each test binary compiles its own copy; not all of them use every helper.
 #![allow(dead_code)]
 
 use mixq::core::mixed::BitAssignment;
 use mixq::kernels::{
-    QAdd, QAvgPool, QConv2d, QConvWeights, QGraph, QLinear, Requantizer, WeightOffset,
+    ActivationArena, KernelChoice, OpCounts, OpOutput, PrepackedWeights, QActivation, QAdd,
+    QAvgPool, QConv2d, QConvWeights, QGraph, QLinear, QOp, Requantizer, WeightOffset,
 };
 use mixq::models::{LayerKind, NetworkSpec};
 use mixq::quant::{BitWidth, FixedPointMultiplier};
@@ -112,4 +115,48 @@ pub fn pairwise_peak_bytes(spec: &NetworkSpec, assignment: &BitAssignment) -> us
         })
         .max()
         .unwrap_or(0)
+}
+
+/// Runs `conv` on the blocked GEMM through the graph's dispatch point,
+/// `QOp::execute_kernel`, with the given prepack cache (`None` packs the
+/// panels per call), returning the output and the ledger it charged.
+pub fn run_blocked(
+    conv: &QConv2d,
+    cache: Option<&PrepackedWeights>,
+    x: &QActivation,
+) -> (QActivation, OpCounts) {
+    let mut ops = OpCounts::default();
+    let out = conv.execute_kernel(
+        KernelChoice::BlockedGemm,
+        cache,
+        &[x],
+        &mut ActivationArena::new(),
+        &mut ops,
+    );
+    let OpOutput::Act(y) = out else {
+        unreachable!("a convolution yields an activation")
+    };
+    (y, ops)
+}
+
+/// The ledger the blocked GEMM charges on `x`, in closed form from the
+/// direct oracle's ledger `od` on the same input: `rows·k·c_o` MACs
+/// (padded taps included), one activation load per real tap code
+/// (`od.macs / c_o`), one unpack per MAC for sub-byte weights plus one per
+/// load for a sub-byte input, one offset subtraction per MAC under
+/// per-channel `Zw`, and the oracle's requantization, comparison, store
+/// and bias counts.
+pub fn blocked_ledger(conv: &QConv2d, x: &QActivation, od: &OpCounts) -> OpCounts {
+    let out = conv.output_shape(x.shape());
+    let co = out.c as u64;
+    let k = (conv.geometry().kernel_area() * x.shape().c) as u64;
+    let macs = (out.pixels() * out.n) as u64 * k * co;
+    let act_loads = od.macs / co;
+    OpCounts {
+        macs,
+        act_loads,
+        unpacks: conv.weights().needs_unpack() as u64 * macs + x.needs_unpack() as u64 * act_loads,
+        offset_subs: conv.weights().offset().is_per_channel() as u64 * macs,
+        ..*od
+    }
 }

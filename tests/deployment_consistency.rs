@@ -1,7 +1,9 @@
 //! Consistency tests across the deployment stack: the *actual* converted
 //! network (packed tensors, requant parameters) must agree with the
-//! shape-level Table-1 memory model and with the alternative GEMM kernel
+//! shape-level Table-1 memory model and with the blocked-GEMM kernel
 //! dataflow, and the exported C header must account for the same bytes.
+
+mod common;
 
 use mixq::core::convert::{convert, scheme_granularity, IntNetwork};
 use mixq::core::export::emit_c_header;
@@ -70,23 +72,23 @@ fn converted_peak_ram_matches_memory_model() {
 }
 
 #[test]
-fn gemm_paths_match_direct_on_converted_network() {
+fn blocked_path_matches_direct_on_converted_network() {
     // Run the first (standard) conv layer of a real converted network
-    // through all three dataflows.
+    // through both dataflows.
     let (_, int_net, ds) = trained(QuantScheme::PerChannelIcn, BitWidth::W4);
     for i in 0..4 {
         let x = int_net.quantize_input(&ds.sample(i).images);
         let layer = &int_net.layers()[0];
         assert!(!layer.weights().is_depthwise());
-        let mut oa = OpCounts::default();
-        let mut ob = OpCounts::default();
-        let mut oc = OpCounts::default();
-        let direct = layer.execute(&x, &mut oa);
-        let gemm = layer.execute_gemm(&x, &mut ob);
-        let blocked = layer.execute_blocked(&x, &mut oc);
-        assert_eq!(direct, gemm, "sample {i}");
+        let mut od = OpCounts::default();
+        let direct = layer.execute(&x, &mut od);
+        let (blocked, ob) = common::run_blocked(layer, None, &x);
         assert_eq!(direct, blocked, "sample {i}");
-        assert_eq!(ob, oc, "GEMM dataflow ledgers agree, sample {i}");
+        assert_eq!(
+            ob,
+            common::blocked_ledger(layer, &x, &od),
+            "blocked ledger, sample {i}"
+        );
     }
 }
 
@@ -254,7 +256,7 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
         let x = int_net.quantize_input_items_pooled(ds.images(), 0, 4, &mut arena);
         int_net
             .graph()
-            .infer_batch(x, &mut arena, &mut logits, &mut ops);
+            .infer_pooled(x, &mut arena, &mut logits, &mut ops);
         simd::set_forced(None);
         (logits, ops)
     };

@@ -11,8 +11,9 @@ use proptest::prelude::*;
 use mixq::core::memory::{MemoryBudget, QuantScheme};
 use mixq::core::mixed::{assign_bits, MixedPrecisionConfig};
 use mixq::kernels::{
-    AnyOp, Backend, KernelChoice, OpCounts, QActivation, QConv2d, QConvWeights, QGraph, QLinear,
-    ReferenceBackend, Requantizer, SimdLevel, ThresholdChannel, TiledBackend, WeightOffset,
+    ActivationArena, AnyOp, Backend, KernelChoice, OpCounts, OpOutput, PrepackedWeights,
+    QActivation, QConv2d, QConvWeights, QGraph, QLinear, QOp, ReferenceBackend, Requantizer,
+    SimdLevel, ThresholdChannel, TiledBackend, WeightOffset,
 };
 use mixq::models::{LayerSpec, NetworkSpec};
 use mixq::quant::{BitWidth, FixedPointMultiplier, PackedTensor, QuantParams};
@@ -386,7 +387,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn gemm_path_equals_direct_path(
+    fn blocked_path_equals_direct_path(
         co in 1usize..5,
         ci in 1usize..4,
         k in prop_oneof![Just(1usize), Just(3usize)],
@@ -425,17 +426,14 @@ proptest! {
             .map(|i| ((i as u64 * 13 + seed) % 200) as u8)
             .collect();
         let x = QActivation::from_codes(in_shape, &codes, BitWidth::W8, zx);
-        let mut oa = OpCounts::default();
-        let mut ob = OpCounts::default();
-        let mut oc = OpCounts::default();
-        let direct = conv.execute(&x, &mut oa);
-        let gemm = conv.execute_gemm(&x, &mut ob);
-        let blocked = conv.execute_blocked(&x, &mut oc);
-        prop_assert_eq!(&direct, &gemm);
+        let mut od = OpCounts::default();
+        let direct = conv.execute(&x, &mut od);
+        // The blocked kernel as a graph node runs it: through the dispatch
+        // point, against the prepack cache.
+        let (cache, _) = conv.prepack(KernelChoice::BlockedGemm);
+        let (blocked, ob) = common::run_blocked(&conv, cache.as_ref(), &x);
         prop_assert_eq!(&direct, &blocked);
-        prop_assert_eq!(oa.requants, ob.requants);
-        // The two GEMM dataflows charge identical abstract ledgers.
-        prop_assert_eq!(ob, oc);
+        prop_assert_eq!(ob, common::blocked_ledger(&conv, &x, &od));
     }
 
     #[test]
@@ -451,15 +449,17 @@ proptest! {
     ) {
         // A head-terminated conv stack under random shapes and mixed
         // bit-widths, selected three ways: direct everywhere (reference),
-        // im2col GEMM everywhere (custom backend), and the cost-driven
-        // tiled backend. Logits must be bit-identical — backends trade
-        // dataflow, never arithmetic.
-        struct NaiveGemmEverywhere;
-        impl Backend for NaiveGemmEverywhere {
-            fn name(&self) -> &'static str { "naive-gemm" }
+        // blocked GEMM everywhere (custom backend, which also lowers the
+        // shapes the tiled backend keeps direct, e.g. c_o = 1 or a
+        // sub-byte pointwise input), and the cost-driven tiled backend.
+        // Logits must be bit-identical — backends trade dataflow, never
+        // arithmetic.
+        struct BlockedEverywhere;
+        impl Backend for BlockedEverywhere {
+            fn name(&self) -> &'static str { "blocked-everywhere" }
             fn select(&self, op: &AnyOp, _i: &[Shape], _b: &[BitWidth]) -> KernelChoice {
                 match op {
-                    AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::Im2colGemm,
+                    AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::BlockedGemm,
                     _ => KernelChoice::DirectConv,
                 }
             }
@@ -506,28 +506,31 @@ proptest! {
             g
         };
         let reference = build();
-        let mut gemm = build();
-        gemm.select_kernels(&NaiveGemmEverywhere);
+        let mut blocked = build();
+        blocked.select_kernels(&BlockedEverywhere);
         let mut tiled = build();
         tiled.select_kernels(&TiledBackend::default());
         prop_assert!(reference.kernel_choices().iter().all(|&c| c == KernelChoice::DirectConv));
-        prop_assert!(gemm.kernel_choices()[..depth].iter().all(|&c| c == KernelChoice::Im2colGemm));
+        prop_assert!(blocked.kernel_choices()[..depth].iter().all(|&c| c == KernelChoice::BlockedGemm));
 
         let codes: Vec<u8> = (0..input.volume())
             .map(|i| ((i as u64 * 13 + seed) % 200) as u8)
             .collect();
         let x = QActivation::from_codes(input, &codes, BitWidth::W8, zx);
         let a = reference.run(x.clone());
-        let b = gemm.run(x.clone());
+        let b = blocked.run(x.clone());
         let c = tiled.run(x);
         prop_assert_eq!(a.logits.as_ref(), b.logits.as_ref());
         prop_assert_eq!(a.logits.as_ref(), c.logits.as_ref());
-        // The reference backend prices no scratch; a GEMM selection prices
-        // exactly its largest im2col expansion.
+        // The reference backend prices no scratch; the blocked selection
+        // prices its largest im2col expansion, which is none when every
+        // conv borrows its input (pointwise over an 8-bit input: the
+        // first conv reads the W8 graph input, later ones `abits` codes).
         prop_assert_eq!(reference.peak_scratch_bytes(input, BitWidth::W8), 0);
+        let borrows = k == 1 && (depth == 1 || abits == BitWidth::W8);
         prop_assert_eq!(
-            gemm.peak_scratch_bytes(input, BitWidth::W8),
-            h * h * k * k * ch
+            blocked.peak_scratch_bytes(input, BitWidth::W8),
+            if borrows { 0 } else { h * h * k * k * ch }
         );
         // Re-selecting with the reference backend round-trips exactly.
         let mut back = tiled.clone();
@@ -551,7 +554,8 @@ proptest! {
     ) {
         // The prepacked-panel path must reproduce the per-call-packing
         // blocked kernel bit for bit — output codes AND abstract ledger —
-        // across shapes, strides, bit-widths, zero-points and batch sizes.
+        // and the direct oracle's codes, across shapes, strides,
+        // bit-widths, zero-points and batch sizes.
         let wshape = Shape::new(co, k, k, ci);
         let wcodes: Vec<u8> = (0..wshape.volume())
             .map(|i| ((i as u64 * 31 + seed * 7) % wbits.levels() as u64) as u8)
@@ -580,20 +584,15 @@ proptest! {
             .map(|i| ((i as u64 * 13 + seed) % xbits.levels() as u64) as u8)
             .collect();
         let x = QActivation::from_codes(in_shape, &codes, xbits, zx.min(xbits.qmax() as u8));
-        let mut o_uncached = OpCounts::default();
-        let mut o_cached = OpCounts::default();
         let mut o_direct = OpCounts::default();
-        let mut uncached = Vec::new();
-        let mut cached = Vec::new();
-        let shape_a = conv.execute_blocked_codes(&x, &mut uncached, &mut o_uncached);
         let panels = conv.prepack_panels();
-        let shape_b = conv.execute_blocked_prepacked(
-            &panels, &x, &mut Vec::new(), &mut cached, &mut o_cached);
+        let (uncached, o_uncached) = common::run_blocked(&conv, None, &x);
+        let (cached, o_cached) =
+            common::run_blocked(&conv, Some(&PrepackedWeights::Panels(panels.clone())), &x);
         let direct = conv.execute(&x, &mut o_direct);
-        prop_assert_eq!(shape_a, shape_b);
         prop_assert_eq!(&uncached, &cached);
         prop_assert_eq!(o_uncached, o_cached);
-        prop_assert_eq!(direct.codes(), cached);
+        prop_assert_eq!(&direct, &cached);
         // The artifact reports a non-trivial read-only footprint.
         prop_assert!(panels.bytes() >= wshape.volume());
         prop_assert_eq!(panels.k(), k * k * ci);
@@ -640,10 +639,10 @@ proptest! {
         prop_assert_eq!(run_b.total_ops(), single_ops);
         // The pooled batch path agrees with the ledger run, allocation
         // pooling aside.
-        let mut arena = mixq::kernels::ActivationArena::new();
+        let mut arena = ActivationArena::new();
         let mut pooled_logits = Vec::new();
         let mut pooled_ops = OpCounts::default();
-        g.infer_batch(xb, &mut arena, &mut pooled_logits, &mut pooled_ops);
+        g.infer_pooled(xb, &mut arena, &mut pooled_logits, &mut pooled_ops);
         prop_assert_eq!(Some(pooled_logits), run_b.logits);
         prop_assert_eq!(pooled_ops, single_ops);
         // Planner and executor agree on the batched Eq. 7 peak.
@@ -1088,11 +1087,12 @@ proptest! {
             let y = conv.execute(&x, &mut ops);
             prop_assert_eq!(y.codes(), want.clone(), "{:?} codes", level);
             prop_assert_eq!(ops, want_ops, "{:?} ledger", level);
-            let (mut out, mut aux) = (Vec::new(), Vec::new());
+            let cache = PrepackedWeights::Codes(conv.weights().codes());
             let mut ops = OpCounts::default();
-            conv.execute_codes_pooled(Some(&conv.weights().codes()), &x, &mut out, &mut aux,
-                                      &mut ops);
-            prop_assert_eq!(&out, &want, "{:?} prepacked codes", level);
+            let out = conv.execute_kernel(KernelChoice::DirectConv, Some(&cache), &[&x],
+                                          &mut ActivationArena::new(), &mut ops);
+            let OpOutput::Act(y) = out else { unreachable!("a convolution yields an activation") };
+            prop_assert_eq!(y.codes(), want.clone(), "{:?} prepacked codes", level);
             prop_assert_eq!(ops, want_ops, "{:?} prepacked ledger", level);
         }
         simd::set_forced(None);
