@@ -302,6 +302,110 @@ fn bench_phase_breakdown() {
     report("phase_breakdown", "unpack_w4", us);
 }
 
+/// The requantization epilogue alone, in ns per output element: the
+/// blocked GEMM's fused `apply_gemm_row` (one row of genuine GEMV
+/// accumulators per call) and the depthwise core's `apply_i32_block` (one
+/// pixel's channels per call), over an ICN W4 layer of `c_o` channels, at the
+/// active SIMD level and at scalar. Printed only, never goldened.
+fn bench_epilogue() {
+    use mixq_kernels::simd::{self, requant as vreq, SimdLevel};
+
+    const ROWS: usize = 256;
+    const K: usize = 64;
+    let active = simd::active_level();
+    let mut levels = vec![active];
+    if active != SimdLevel::Scalar {
+        levels.push(SimdLevel::Scalar);
+    }
+    for co in [4usize, 8, 16, 32, 64, 128, 256] {
+        let wshape = Shape::new(co, 1, 1, K);
+        let wcodes: Vec<u8> = (0..wshape.volume())
+            .map(|i| ((i * 7 + 3) % 16) as u8)
+            .collect();
+        let zw: Vec<i16> = (0..co).map(|c| (c % 5) as i16 + 6).collect();
+        let weights = QConvWeights::new(
+            wshape,
+            false,
+            &wcodes,
+            BitWidth::W4,
+            WeightOffset::PerChannel(zw),
+        );
+        let requant = Requantizer::icn(
+            (0..co).map(|c| c as i32 * 37 - 900).collect(),
+            (0..co)
+                .map(|c| FixedPointMultiplier::from_real(0.002 + c as f64 * 1e-5))
+                .collect(),
+            3,
+            BitWidth::W4,
+        );
+        let conv = QConv2d::new(weights, ConvGeometry::new(1, 1, 1, Padding::Same), requant);
+        let (plan, req) = (conv.plan(), conv.requant());
+        let panels = conv.prepack_panels();
+        // Genuine GEMV accumulators and row sums of ROWS input rows.
+        let xs: Vec<u8> = (0..ROWS * K).map(|i| ((i * 13 + 5) % 256) as u8).collect();
+        let mut accs = vec![0i32; ROWS * co];
+        let mut sx = vec![0i64; ROWS];
+        for r in 0..ROWS {
+            let x = &xs[r * K..(r + 1) * K];
+            sx[r] = x.iter().map(|&v| v as i64).sum();
+            for c in 0..co {
+                let w = &wcodes[c * K..(c + 1) * K];
+                accs[r * co + c] = x.iter().zip(w).map(|(&a, &b)| a as i32 * b as i32).sum();
+            }
+        }
+        let mut scratch = vec![0i32; vreq::GemmTerms::scratch_len(co)];
+        let terms = vreq::GemmTerms::stage(plan, &panels, 11, &mut scratch);
+        let mut codes = vec![0u8; ROWS * co];
+        let elems = (ROWS * co) as f64;
+        for &level in &levels {
+            let us = time_us(SAMPLES, || {
+                let (mut rq, mut tc) = (0u64, 0u64);
+                for ((acc, out), &sx) in accs.chunks(co).zip(codes.chunks_mut(co)).zip(&sx) {
+                    vreq::apply_gemm_row(
+                        req,
+                        level,
+                        &terms,
+                        black_box(acc),
+                        sx,
+                        out,
+                        &mut rq,
+                        &mut tc,
+                    );
+                }
+                rq
+            });
+            report_ns(&format!("gemm_row/co={co}/{}", level.label()), us, elems);
+            let us = time_us(SAMPLES, || {
+                let (mut rq, mut tc) = (0u64, 0u64);
+                for p in 0..ROWS {
+                    let span = p * co..(p + 1) * co;
+                    vreq::apply_i32_block(
+                        plan,
+                        req,
+                        level,
+                        0,
+                        black_box(&accs[span.clone()]),
+                        &mut codes[span],
+                        &mut rq,
+                        &mut tc,
+                    );
+                }
+                rq
+            });
+            report_ns(&format!("i32_block/co={co}/{}", level.label()), us, elems);
+        }
+    }
+}
+
+/// Prints a timing as ns per output element.
+fn report_ns(name: &str, us: f64, elems: f64) {
+    println!(
+        "{:>18} / {name:<26} {:>8.2} ns/elem",
+        "epilogue",
+        us * 1e3 / elems
+    );
+}
+
 /// The graph executor's arena (reused output buffers) against the naive
 /// per-layer loop that allocates a fresh activation every layer, under the
 /// `--backend` flag's kernel selection.
@@ -361,5 +465,6 @@ fn main() {
     bench_depthwise_vs_pointwise();
     bench_conv_dataflows();
     bench_phase_breakdown();
+    bench_epilogue();
     bench_graph_vs_loop();
 }

@@ -31,7 +31,13 @@
 //! * **pointwise identity fast path** — for 1×1 stride-1 convolutions the
 //!   im2col matrix *is* the input in NHWC order, so the expansion is a
 //!   borrow of the packed bytes (8-bit input) or one linear unpack
-//!   (sub-byte) instead of a per-element gather.
+//!   (sub-byte) instead of a per-element gather;
+//! * **fused `i32` epilogue** — each row's accumulators go straight to
+//!   [`simd::requant::apply_gemm_row`], which adds
+//!   `(Bq − Zx·base) − Zw·Σ X` (the first term staged once per call) and
+//!   requantizes eight channels per AVX2 iteration in `i32` lanes; a
+//!   layer whose [`PackedPanels::weight_bound`] plus `max |Bq|` exceeds
+//!   `i32` takes the scalar oracle.
 //!
 //! The abstract [`OpCounts`] ledger prices the padded GEMM: `rows·k·c_o`
 //! MACs for `rows` output pixels (over the batch), patch length
@@ -45,7 +51,7 @@
 
 use mixq_tensor::Shape;
 
-use crate::simd::requant::RequantPlan;
+use crate::simd::requant::{GemmTerms, RequantPlan};
 use crate::simd::{self, SimdLevel, MAX_DOT_LEN};
 use crate::{OpCounts, QActivation, QConv2d, Requantizer};
 
@@ -92,6 +98,9 @@ pub struct PackedPanels {
     /// Per-channel `Σ W − k·Zw`: the hoisted correction is
     /// `Zx · base[c]`, so no per-call correction vector is needed.
     base: Vec<i64>,
+    /// `255 · max_c Σ_i |w_ci − Zw_c|`: bounds `|Σ (X − Zx)(W − Zw)|` for
+    /// any `u8` row (see [`PackedPanels::weight_bound`]).
+    bound: i64,
     /// Patch length `k_h·k_w·c_i` the panels were built for.
     k: usize,
 }
@@ -114,6 +123,26 @@ impl PackedPanels {
     /// (activations only).
     pub fn bytes(&self) -> usize {
         self.pairs.len() + self.tail.len() + 8 * (self.sumw.len() + self.zw.len() + self.base.len())
+    }
+
+    /// `255 · max_c Σ_i |w_ci − Zw_c|`, a bound on `|Σ (X − Zx)(W − Zw)|`
+    /// for every row of `u8` codes and every `u8` input zero-point, since
+    /// `|X − Zx| ≤ 255`. It depends on the weights only, so it stays valid
+    /// under any requantizer rewrite that keeps the panels. The fused
+    /// epilogue ([`simd::requant::apply_gemm_row`]) runs in `i32` lanes
+    /// only when this bound plus `max |Bq|` is `≤ i32::MAX`.
+    pub fn weight_bound(&self) -> i64 {
+        self.bound
+    }
+
+    /// Per-channel weight zero-points `Zw`.
+    pub(crate) fn zw(&self) -> &[i64] {
+        &self.zw
+    }
+
+    /// Per-channel `Σ W − k·Zw`.
+    pub(crate) fn base(&self) -> &[i64] {
+        &self.base
     }
 }
 
@@ -167,12 +196,20 @@ impl QConv2d {
             .collect();
         let zw: Vec<i64> = (0..co_n).map(|co| weights.offset().at(co) as i64).collect();
         let base: Vec<i64> = (0..co_n).map(|co| sumw[co] - k as i64 * zw[co]).collect();
+        let bound = (0..co_n)
+            .map(|co| {
+                let row = &rows[co * k..(co + 1) * k];
+                255 * row.iter().map(|&w| (w as i64 - zw[co]).abs()).sum::<i64>()
+            })
+            .max()
+            .unwrap_or(0);
         PackedPanels {
             pairs,
             tail,
             sumw,
             zw,
             base,
+            bound,
             k,
         }
     }
@@ -289,8 +326,9 @@ impl QConv2d {
     /// [`QConv2d::prepack_panels`], writing the unpacked output codes into
     /// `out_codes` (cleared and resized in place) and returning the output
     /// shape. The im2col (or sub-byte linear-unpack) expansion is drawn
-    /// from `data_scratch` and the `2·c_o` accumulators from
-    /// `acc_scratch` — the arena's buffers on the graph path — so the call
+    /// from `data_scratch`, and the `2·c_o` accumulators plus the
+    /// epilogue's staged [`GemmTerms`] from `acc_scratch` — the arena's
+    /// buffers on the graph path — so the call
     /// is allocation-free once the buffers reach steady capacity. See the
     /// [module docs](self) for the dataflow and the ledger it charges.
     ///
@@ -322,7 +360,7 @@ impl QConv2d {
         let g = self.geometry();
         let k = g.kernel_area() * in_shape.c;
         let rows = out_shape.pixels() * out_shape.n;
-        let zx = x.zero_point() as i64;
+        let zx = x.zero_point();
         let per_channel = weights.offset().is_per_channel();
         let w_unpack = weights.needs_unpack() as u64;
         let co_n = weights.out_channels();
@@ -364,7 +402,7 @@ impl QConv2d {
         let level = simd::active_level();
 
         acc_scratch.clear();
-        acc_scratch.resize(2 * co_n, 0);
+        acc_scratch.resize(2 * co_n + GemmTerms::scratch_len(co_n), 0);
         blocked_rows(
             requant,
             plan,
@@ -404,14 +442,15 @@ pub fn im2col_scratch_bytes(conv: &QConv2d, input: Shape) -> usize {
 
 /// The dual-row GEMV sweep over the `rows` im2col rows of `data`,
 /// writing their `rows × c_o` output codes into `out`; `acc` is the
-/// caller's `2·c_o` accumulator scratch.
+/// caller's scratch: `2·c_o` accumulators, then the epilogue's
+/// [`GemmTerms`].
 #[allow(clippy::too_many_arguments)]
 fn blocked_rows(
     requant: &Requantizer,
     plan: &RequantPlan,
     panels: &PackedPanels,
     data: &[u8],
-    zx: i64,
+    zx: u8,
     level: SimdLevel,
     rows: usize,
     out: &mut [u8],
@@ -421,8 +460,6 @@ fn blocked_rows(
 ) {
     let k = panels.k;
     let co_n = panels.sumw.len();
-    let zw = &panels.zw;
-    let wbase = &panels.base;
     // Hot per-block path: these stay `debug_assert` because both lengths
     // are established on the cold setup path above (the hard
     // `data.len() == rows * k` / `rows.len() == co_n * k` asserts in
@@ -430,8 +467,7 @@ fn blocked_rows(
     // `mixq-verify` re-checks the same geometry statically per graph
     // (`check_dot_geometry`).
     debug_assert_eq!(out.len(), rows * co_n);
-    debug_assert_eq!(acc.len(), 2 * co_n);
-    let (acc0, acc1) = acc.split_at_mut(co_n);
+    debug_assert_eq!(acc.len(), 2 * co_n + GemmTerms::scratch_len(co_n));
 
     // Patches longer than the i32 accumulation bound take the cold
     // chunked path (real layers never do: k = k_h·k_w·c_i).
@@ -441,7 +477,7 @@ fn blocked_rows(
             plan,
             panels,
             data,
-            zx,
+            zx as i64,
             level,
             rows,
             out,
@@ -452,8 +488,11 @@ fn blocked_rows(
 
     // Per-channel hoisted terms: acc = Σ X·W − Zw·Σ X − Zx·(Σ W − k·Zw),
     // the exact expansion of Σ (X − Zx)(W − Zw). `Σ W − k·Zw` is the
-    // prepacked `base` table, so the input zero-point is the only
-    // per-call ingredient.
+    // prepacked `base` table, so the epilogue stages `Bq − Zx·base` once
+    // per call and only `Zw·Σ X` varies by row.
+    let (acc, stage) = acc.split_at_mut(2 * co_n);
+    let (acc0, acc1) = acc.split_at_mut(co_n);
+    let terms = GemmTerms::stage(plan, panels, zx, stage);
     let mut r = 0;
     while r < rows {
         let pair = r + 1 < rows;
@@ -468,33 +507,27 @@ fn blocked_rows(
         acc0.fill(0);
         acc1.fill(0);
         simd::gemv2(level, x0, x1, &panels.pairs, &panels.tail, acc0, acc1);
-        // Fused vectorized epilogue: widen, fold the hoisted corrections
-        // and requantize in-vector (bit-identical to the per-element
+        // Fused vectorized epilogue: fold the hoisted corrections and
+        // requantize in-vector (bit-identical to the per-element
         // `Requantizer::apply` loop, same ledger totals).
         let o0 = r * co_n;
         simd::requant::apply_gemm_row(
-            plan,
             requant,
             level,
+            &terms,
             acc0,
             sx0,
-            zx,
-            zw,
-            wbase,
             &mut out[o0..o0 + co_n],
             requants,
             threshold_cmps,
         );
         if pair {
             simd::requant::apply_gemm_row(
-                plan,
                 requant,
                 level,
+                &terms,
                 acc1,
                 sx1,
-                zx,
-                zw,
-                wbase,
                 &mut out[o0 + co_n..o0 + 2 * co_n],
                 requants,
                 threshold_cmps,
@@ -566,9 +599,10 @@ fn blocked_rows_long(
             simd::requant::widen_accumulate(w1, acc1);
             c0 = c1;
         }
-        // Same overflow-proof fold + vectorized epilogue the hot path
-        // fuses inside `apply_gemm_row`, just staged through the wide
-        // totals the chunked accumulation requires.
+        // The hot path's hoisted corrections, folded in i64 over the wide
+        // totals the chunked accumulation requires; `apply_phi_block`
+        // requantizes them (thresholds in-vector, fixed point on x86
+        // through the scalar oracle).
         let o0 = r * co_n;
         let (w0, w1) = wide.split_at_mut(co_n);
         simd::requant::fold_corrections(w0, sx0, zx, zw, wbase);
@@ -750,6 +784,43 @@ mod tests {
         let mut od = OpCounts::default();
         let mut ob = OpCounts::default();
         assert_eq!(conv.execute(&x, &mut od), blocked(&conv, &x, &mut ob));
+    }
+
+    #[test]
+    fn weight_bound_past_i32_takes_the_oracle() {
+        // Per-channel Zw = −32768 on W8 weights with k = 3·3·32 = 288:
+        // 255·Σ|w − Zw| ≈ 2.4·10^9 exceeds i32, so the epilogue's i32
+        // lanes could not hold Φ + Bq. The layer requantizes through the
+        // scalar oracle and still equals the direct kernel.
+        let (co, ci) = (5, 32);
+        let wshape = Shape::new(co, 3, 3, ci);
+        let codes: Vec<u8> = (0..wshape.volume())
+            .map(|i| ((i * 37 + 11) % 256) as u8)
+            .collect();
+        let weights = QConvWeights::new(
+            wshape,
+            false,
+            &codes,
+            BitWidth::W8,
+            WeightOffset::PerChannel(vec![i16::MIN; co]),
+        );
+        let requant = Requantizer::icn(
+            (0..co).map(|c| c as i32 * 1000 - 2000).collect(),
+            (0..co)
+                .map(|c| FixedPointMultiplier::from_real(2e-9 * (c + 1) as f64))
+                .collect(),
+            2,
+            BitWidth::W8,
+        );
+        let conv = QConv2d::new(weights, ConvGeometry::new(3, 3, 1, Padding::Same), requant);
+        assert!(conv.prepack_panels().weight_bound() > i32::MAX as i64);
+        let x = make_input(5, 5, ci, BitWidth::W8, 4);
+        let (mut od, mut ob) = (OpCounts::default(), OpCounts::default());
+        let direct = conv.execute(&x, &mut od);
+        let codes = direct.codes();
+        assert!(codes.iter().any(|&c| c != codes[0]), "codes must vary");
+        assert_eq!(direct, blocked(&conv, &x, &mut ob));
+        assert_eq!(ob, blocked_ledger(&conv, &x, &od));
     }
 
     #[test]

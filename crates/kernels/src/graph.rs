@@ -849,10 +849,11 @@ impl ActivationArena {
         self.aux = buf;
     }
 
-    /// Takes ownership of the 32-bit accumulator scratch the blocked
-    /// GEMV writes per-channel partial sums into (`2·c_o` entries, one
-    /// per output channel of each of the two rows in flight). Pair with
-    /// [`ActivationArena::put_acc`].
+    /// Takes ownership of the 32-bit scratch of the blocked GEMM: the
+    /// `2·c_o` per-channel partial sums of the two rows in flight, then
+    /// the epilogue's staged terms
+    /// ([`GemmTerms::scratch_len`](crate::simd::requant::GemmTerms::scratch_len)
+    /// entries). Pair with [`ActivationArena::put_acc`].
     pub fn take_acc(&mut self) -> Vec<i32> {
         mem::take(&mut self.acc)
     }

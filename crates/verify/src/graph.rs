@@ -591,7 +591,7 @@ fn verify_conv(
         });
     }
 
-    // vector_gemm correction operands: Σ X ≤ k·qx, Zw, base — all i32?
+    // NEON GEMM-row correction operands: Σ X ≤ k·qx, Zw, base — all i32?
     let sx_max = taps as i128 * qx as i128;
     let corrections_fit = Interval::new(0, sx_max).fits_i32()
         && conv_bases(conv)

@@ -291,7 +291,10 @@ pub struct NodeCert {
     /// Whether the stored `RequantPlan` engages the vector epilogue.
     pub vectorizable: bool,
     /// Whether the hoisted corrections provably fit `i32` for every input
-    /// (the `vector_gemm` fast-path gate; scalar fallback otherwise).
+    /// (the NEON GEMM-row kernel's gate; scalar fallback otherwise). It
+    /// does not cover the AVX2 GEMM-row kernel, whose gate is
+    /// `PackedPanels::weight_bound` plus `max |Bq|` ≤ `i32::MAX`, checked
+    /// per node call and not certified here.
     pub corrections_fit_i32: bool,
 }
 

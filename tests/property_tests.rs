@@ -903,20 +903,35 @@ proptest! {
         co in 1usize..40,
         kind in 0usize..3, // 0 = ICN, 1 = folded per-layer, 2 = thresholds
         out_bits in bitwidth_strategy(),
-        zy in -8i32..8,
+        zy in -20i32..280,
         saturate in any::<bool>(),
-        mults in proptest::collection::vec(-4.0f64..4.0, 40),
+        mantissas in proptest::collection::vec(-1.0f64..1.0, 40),
+        exponents in proptest::collection::vec(-40i32..3, 40),
+        wide_bq in any::<bool>(),
         bqs in proptest::collection::vec(-5000i64..5000, 40),
+        wide_bqs in proptest::collection::vec(-2147483647i64..2147483648, 40),
         phis in proptest::collection::vec(-1_000_000i64..1_000_000, 1..80),
+        edges in proptest::collection::vec(0usize..5, 80),
         c0 in 0usize..8,
+        reps in 1usize..4,
     ) {
         // The vectorized requantization epilogue must reproduce the scalar
         // `Requantizer::apply` loop bit-exactly — codes AND the abstract
         // `requants`/`threshold_cmps` ledger — at every SIMD level the
-        // host can run, across random multipliers (including negative and
-        // near-zero), zero-points, output bit-widths, threshold channels
-        // of both orientations, and the saturated-i16 ablation rewrite.
+        // host can run. Multipliers span ~2^-41 (shifts ≥ 63) to ±4
+        // (the saturation-limit clamp), `Bq` reaches ±(2^31 − 1), `Zy`
+        // leaves [0, qmax], accumulators sit near ±2^31 (the overflow
+        // fallback), and lane counts, `c0` offsets and tiled plans fall on
+        // both sides of the 8- and 16-lane vector widths. Threshold
+        // channels come in both orientations, with the saturated-i16
+        // ablation rewrite.
         use mixq::kernels::simd::requant::{self as vreq, RequantPlan};
+        let mults: Vec<f64> = mantissas
+            .iter()
+            .zip(&exponents)
+            .map(|(&m, &e)| m * 2f64.powi(e))
+            .collect();
+        let bqs = if wide_bq { &wide_bqs } else { &bqs };
         let req = match kind {
             0 => Requantizer::icn(
                 bqs[..co].iter().map(|&b| b as i32).collect(),
@@ -931,7 +946,7 @@ proptest! {
                 // instead so negative slopes exercise descending tables.
                 let channels = (0..co).map(|c| {
                     let m = mults[c];
-                    if m.abs() < 1e-3 {
+                    if m.abs() < 1e-12 {
                         ThresholdChannel::from_affine(0.5, bqs[c], zy, out_bits)
                     } else if m > 0.0 {
                         ThresholdChannel::from_affine(m, bqs[c], zy, out_bits)
@@ -943,37 +958,49 @@ proptest! {
                 if saturate { t.saturated_i16() } else { t }
             }
         };
+        // Accumulators: the moderate range, or pinned near ±2^31.
+        let phis: Vec<i64> = phis
+            .iter()
+            .zip(&edges)
+            .map(|(&p, &e)| match e {
+                0 => i32::MAX as i64 - p.abs() % 7,
+                1 => i32::MIN as i64 + p.abs() % 7,
+                _ => p,
+            })
+            .collect();
         let plan = RequantPlan::new(&req);
-        let c0 = c0.min(co - 1);
-        let n = (co - c0).min(phis.len());
+        let tiled = plan.tiled(reps);
 
-        // Reference: the plain scalar loop over `Requantizer::apply`.
-        let mut out_ref = vec![0u8; n];
-        let (mut rq_ref, mut tc_ref) = (0u64, 0u64);
-        for (j, &phi) in phis[..n].iter().enumerate() {
-            out_ref[j] = req.apply(c0 + j, phi, &mut rq_ref, &mut tc_ref);
-        }
+        for (plan, lanes) in [(&plan, co), (&tiled, reps * co)] {
+            let c0 = c0.min(lanes - 1);
+            let n = (lanes - c0).min(phis.len());
 
-        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2,
-                      SimdLevel::Neon] {
-            if !level.available() {
-                continue;
+            // Reference: the plain scalar loop over `Requantizer::apply`.
+            let mut out_ref = vec![0u8; n];
+            let (mut rq_ref, mut tc_ref) = (0u64, 0u64);
+            for (j, &phi) in phis[..n].iter().enumerate() {
+                out_ref[j] = req.apply((c0 + j) % co, phi, &mut rq_ref, &mut tc_ref);
             }
-            let mut out = vec![0u8; n];
-            let (mut rq, mut tc) = (0u64, 0u64);
-            vreq::apply_phi_block(&plan, &req, level, c0, &phis[..n],
-                                  &mut out, &mut rq, &mut tc);
-            prop_assert_eq!(&out, &out_ref, "{:?} codes diverge", level);
-            prop_assert_eq!((rq, tc), (rq_ref, tc_ref),
-                            "{:?} ledger diverges", level);
 
-            // The i32-accumulator entry (fused GEMM/depthwise epilogue)
-            // must agree wherever the accumulators fit in i32.
-            if phis[..n].iter().all(|&p| i32::try_from(p).is_ok()) {
+            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2,
+                          SimdLevel::Neon] {
+                if !level.available() {
+                    continue;
+                }
+                let mut out = vec![0u8; n];
+                let (mut rq, mut tc) = (0u64, 0u64);
+                vreq::apply_phi_block(plan, &req, level, c0, &phis[..n],
+                                      &mut out, &mut rq, &mut tc);
+                prop_assert_eq!(&out, &out_ref, "{:?} codes diverge", level);
+                prop_assert_eq!((rq, tc), (rq_ref, tc_ref),
+                                "{:?} ledger diverges", level);
+
+                // The i32-accumulator entry (the depthwise epilogue) takes
+                // every accumulator that fits i32 — all of them here.
                 let accs: Vec<i32> = phis[..n].iter().map(|&p| p as i32).collect();
                 let mut out32 = vec![0u8; n];
                 let (mut rq32, mut tc32) = (0u64, 0u64);
-                vreq::apply_i32_block(&plan, &req, level, c0, &accs,
+                vreq::apply_i32_block(plan, &req, level, c0, &accs,
                                       &mut out32, &mut rq32, &mut tc32);
                 prop_assert_eq!(&out32, &out_ref, "{:?} i32 codes diverge", level);
                 prop_assert_eq!((rq32, tc32), (rq_ref, tc_ref),
