@@ -15,6 +15,8 @@
 //! the weights per layer (PL+FB), stored per channel (PL+ICN / PC+ICN), or
 //! expanded into exact integer thresholds (PC+Thresholds).
 
+use std::ops::Range;
+
 use mixq_data::Dataset;
 use mixq_kernels::{
     ActivationArena, AnyOp, Backend, GraphRun, KernelChoice, OpCounts, QActivation, QAdd, QAvgPool,
@@ -155,17 +157,7 @@ impl IntNetwork {
     /// Panics if the image is not a single item of the expected shape.
     pub fn quantize_input(&self, image: &Tensor<f32>) -> QActivation {
         assert_eq!(image.shape(), self.input_shape, "input shape");
-        let codes: Vec<u8> = image
-            .data()
-            .iter()
-            .map(|&v| self.input_quant.quantize(v) as u8)
-            .collect();
-        QActivation::from_codes(
-            self.input_shape,
-            &codes,
-            BitWidth::W8,
-            self.input_quant.zero_point() as u8,
-        )
+        self.quantize_input_items_pooled(image, 0, 1, &mut ActivationArena::new())
     }
 
     /// Runs integer-only inference on one float image, returning the `i32`
@@ -223,45 +215,13 @@ impl IntNetwork {
         argmax(&logits)
     }
 
-    /// Quantizes a float image drawing code scratch and packed storage
-    /// from `arena` — together with
-    /// [`QGraph::infer_pooled`](mixq_kernels::QGraph::infer_pooled), the
-    /// allocation-free steady-state inference path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image is not a single item of the expected shape.
-    pub fn quantize_input_pooled(
-        &self,
-        image: &Tensor<f32>,
-        arena: &mut ActivationArena,
-    ) -> QActivation {
-        assert_eq!(image.shape(), self.input_shape, "input shape");
-        let mut codes = arena.take_scratch();
-        codes.clear();
-        codes.extend(
-            image
-                .data()
-                .iter()
-                .map(|&v| self.input_quant.quantize(v) as u8),
-        );
-        let act = QActivation::from_codes_in(
-            self.input_shape,
-            &codes,
-            BitWidth::W8,
-            self.input_quant.zero_point() as u8,
-            arena.take_packed(),
-        );
-        arena.put_scratch(codes);
-        act
-    }
-
     /// Quantizes `count` consecutive items of a stacked `(N, h, w, c)`
     /// image tensor, starting at `start`, into **one** batched activation
-    /// `(count, h, w, c)`, drawing all buffers from `arena` — the batch
-    /// twin of [`IntNetwork::quantize_input_pooled`], feeding
-    /// [`QGraph::infer_pooled`](mixq_kernels::QGraph::infer_pooled) without
-    /// heap allocation in steady state.
+    /// `(count, h, w, c)`, drawing code scratch and packed storage from
+    /// `arena` — together with
+    /// [`QGraph::infer_pooled`](mixq_kernels::QGraph::infer_pooled), the
+    /// allocation-free steady-state inference path. Every input
+    /// quantization of the network runs through it.
     ///
     /// # Panics
     ///
@@ -342,18 +302,31 @@ impl IntNetwork {
     /// Panics if `batch` is zero.
     pub fn evaluate_batch(&self, dataset: &Dataset, batch: usize) -> (f32, OpCounts) {
         assert!(batch > 0, "batch size must be positive");
-        let mut ops = OpCounts::default();
         if dataset.is_empty() {
-            return (0.0, ops);
+            return (0.0, OpCounts::default());
         }
+        let n = dataset.len();
+        let (correct, ops) = self.evaluate_batches(dataset, batch, 0..n.div_ceil(batch));
+        (correct as f32 / n as f32, ops)
+    }
+
+    /// Walks the dataset's batches `batches` (batch `b` holds samples
+    /// `b·batch..`, the dataset's last batch possibly partial) through one
+    /// arena, returning the correctly classified count and the ledger.
+    fn evaluate_batches(
+        &self,
+        dataset: &Dataset,
+        batch: usize,
+        batches: Range<usize>,
+    ) -> (usize, OpCounts) {
         let mut arena = ActivationArena::new();
         let mut logits = Vec::new();
+        let mut ops = OpCounts::default();
         let mut correct = 0usize;
-        let n = dataset.len();
         let classes = self.linear().out_features();
-        let mut start = 0usize;
-        while start < n {
-            let count = batch.min(n - start);
+        for b in batches {
+            let start = b * batch;
+            let count = batch.min(dataset.len() - start);
             let x = self.quantize_input_items_pooled(dataset.images(), start, count, &mut arena);
             self.graph
                 .infer_pooled(x, &mut arena, &mut logits, &mut ops);
@@ -362,9 +335,8 @@ impl IntNetwork {
                     correct += 1;
                 }
             }
-            start += count;
         }
-        (correct as f32 / n as f32, ops)
+        (correct, ops)
     }
 
     /// [`IntNetwork::evaluate`] sharded across `workers` threads —
@@ -404,36 +376,11 @@ impl IntNetwork {
         let num_batches = n.div_ceil(batch);
         let workers = workers.min(num_batches);
         let chunk = num_batches.div_ceil(workers);
-        let classes = self.linear().out_features();
         let mut results = vec![(0usize, OpCounts::default()); workers];
         std::thread::scope(|s| {
             for (w, slot) in results.iter_mut().enumerate() {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(num_batches);
-                s.spawn(move || {
-                    let mut arena = ActivationArena::new();
-                    let mut logits = Vec::new();
-                    let mut ops = OpCounts::default();
-                    let mut correct = 0usize;
-                    for b in lo..hi {
-                        let start = b * batch;
-                        let count = batch.min(n - start);
-                        let x = self.quantize_input_items_pooled(
-                            dataset.images(),
-                            start,
-                            count,
-                            &mut arena,
-                        );
-                        self.graph
-                            .infer_pooled(x, &mut arena, &mut logits, &mut ops);
-                        for (j, row) in logits.chunks(classes).enumerate() {
-                            if argmax(row) == dataset.labels()[start + j] {
-                                correct += 1;
-                            }
-                        }
-                    }
-                    *slot = (correct, ops);
-                });
+                let batches = w * chunk..((w + 1) * chunk).min(num_batches);
+                s.spawn(move || *slot = self.evaluate_batches(dataset, batch, batches));
             }
         });
         let (correct, ops) = results

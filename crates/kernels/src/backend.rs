@@ -29,15 +29,15 @@
 //! [`QGraph::select_kernels`](crate::QGraph::select_kernels),
 //! [`QGraph::push_node_with`](crate::QGraph::push_node_with) or
 //! `mixq_core::convert::convert_with_backend`. Only return choices the op
-//! supports ([`QOp::supported_kernels`](crate::QOp::supported_kernels));
-//! the graph validates the selection.
+//! supports ([`QOp::supported_kernels`]); the graph validates the
+//! selection.
 //!
 //! ```
-//! use mixq_kernels::{AnyOp, Backend, KernelChoice};
+//! use mixq_kernels::{AnyOp, Backend, KernelChoice, QOp};
 //! use mixq_quant::BitWidth;
 //! use mixq_tensor::Shape;
 //!
-//! /// Forces the blocked GEMM on every standard convolution, whatever its
+//! /// Forces the blocked GEMM on every op that supports it, whatever its
 //! /// modeled cost.
 //! struct BlockedEverywhere;
 //!
@@ -46,9 +46,10 @@
 //!         "blocked-everywhere"
 //!     }
 //!     fn select(&self, op: &AnyOp, _inputs: &[Shape], _in_bits: &[BitWidth]) -> KernelChoice {
-//!         match op {
-//!             AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::BlockedGemm,
-//!             _ => KernelChoice::DirectConv,
+//!         if op.supported_kernels().contains(&KernelChoice::BlockedGemm) {
+//!             KernelChoice::BlockedGemm
+//!         } else {
+//!             KernelChoice::DirectConv
 //!         }
 //!     }
 //! }
@@ -60,12 +61,12 @@ use mixq_quant::BitWidth;
 use mixq_tensor::Shape;
 
 use crate::blocked::im2col_scratch_bytes;
-use crate::graph::AnyOp;
+use crate::graph::{AnyOp, QOp};
 
 /// The concrete kernel implementation a graph node resolved to at build
 /// time. Both choices produce bit-identical output codes; they differ in
 /// dataflow — cycles and transient scratch RAM. A node runs its choice
-/// through [`QOp::execute_kernel`](crate::QOp::execute_kernel).
+/// through [`QOp::execute_kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
     /// The direct output-stationary loop, the scalar oracle
@@ -78,6 +79,10 @@ pub enum KernelChoice {
     /// kernel ([`crate::blocked`]), the fast dense path; needs an im2col
     /// scratch buffer unless it borrows the input
     /// ([`QConv2d::blocked_borrows_input`](crate::QConv2d::blocked_borrows_input)).
+    /// Offered only for standard convolutions whose patch length
+    /// `k = k_h·k_w·c_i` is at most
+    /// [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN), which it accumulates in
+    /// one `i32` run.
     BlockedGemm,
 }
 
@@ -114,8 +119,7 @@ pub trait Backend {
     fn name(&self) -> &'static str;
 
     /// Selects the kernel for one node. Must return a choice listed in the
-    /// op's [`QOp::supported_kernels`](crate::QOp::supported_kernels); the
-    /// graph asserts this.
+    /// op's [`QOp::supported_kernels`]; the graph asserts this.
     fn select(&self, op: &AnyOp, inputs: &[Shape], in_bits: &[BitWidth]) -> KernelChoice;
 }
 
@@ -140,8 +144,10 @@ impl Backend for ReferenceBackend {
 /// register-blocked GEMM ([`KernelChoice::BlockedGemm`]) whenever the
 /// modeled cycle cost — per-MAC rate plus the im2col expansion traffic —
 /// beats the direct loop, and the im2col scratch fits
-/// [`TiledBackend::scratch_limit_bytes`]. Depthwise convolutions, pooling,
-/// the head and residual adds stay direct (their only implementation).
+/// [`TiledBackend::scratch_limit_bytes`]. Every op whose
+/// [`QOp::supported_kernels`] leaves the GEMM out stays direct: depthwise
+/// convolutions, patches past [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN),
+/// pooling, the head and residual adds.
 ///
 /// The default per-MAC rates mirror `CortexM7CycleModel`'s per-choice
 /// pricing (asserted against the model's defaults in
@@ -194,7 +200,7 @@ impl Backend for TiledBackend {
         let AnyOp::Conv(conv) = op else {
             return KernelChoice::DirectConv;
         };
-        if conv.weights().is_depthwise() {
+        if !op.supported_kernels().contains(&KernelChoice::BlockedGemm) {
             return KernelChoice::DirectConv;
         }
         let input = inputs[0];

@@ -23,6 +23,13 @@
 //!   SIMD width even on the tiny `k ∈ {4..128}` patches of a
 //!   width-scaled MobileNet (a `k`-axis formulation starves there), and
 //!   every weight byte loaded serves two rows;
+//! * **one accumulation regime** — the whole patch accumulates in one
+//!   `i32` run, exact because the kernel's contract is `k ≤`
+//!   [`MAX_DOT_LEN`] (`32768·255² < 2³¹`), as on the Cortex-M's
+//!   32-bit `SMLAD` accumulators.
+//!   [`QOp::supported_kernels`](crate::QOp::supported_kernels) offers the
+//!   blocked GEMM only within that bound; a longer patch runs the direct
+//!   loop's `i64` accumulation;
 //! * **runtime-dispatched SIMD** — [`crate::simd`] picks AVX2/SSE2
 //!   widening `pmaddwd` on x86_64 or NEON widening multiply-accumulate on
 //!   aarch64, with the portable scalar loop as the always-available
@@ -334,8 +341,10 @@ impl QConv2d {
     ///
     /// # Panics
     ///
-    /// Panics on depthwise layers, on an input channel mismatch, or if the
-    /// panels were built for a different patch length or channel count.
+    /// Panics on depthwise layers, on an input channel mismatch, on a
+    /// patch longer than [`MAX_DOT_LEN`] (the kernel's contract, see the
+    /// [module docs](self)), or if the panels were built for a different
+    /// patch length or channel count.
     // Out of line, as it was while public: inlined into its one caller,
     // `QOp::execute_kernel`, it cost the perfbench `serve_saturate`
     // workload ~4% of its samples/s on a 2-vCPU x86_64 Xeon host.
@@ -364,6 +373,10 @@ impl QConv2d {
         let per_channel = weights.offset().is_per_channel();
         let w_unpack = weights.needs_unpack() as u64;
         let co_n = weights.out_channels();
+        assert!(
+            k <= MAX_DOT_LEN,
+            "patch length {k} exceeds the blocked GEMM's MAX_DOT_LEN"
+        );
         assert_eq!(panels.k, k, "panels built for a different patch length");
         assert_eq!(
             panels.sumw.len(),
@@ -461,30 +474,12 @@ fn blocked_rows(
     let k = panels.k;
     let co_n = panels.sumw.len();
     // Hot per-block path: these stay `debug_assert` because both lengths
-    // are established on the cold setup path above (the hard
-    // `data.len() == rows * k` / `rows.len() == co_n * k` asserts in
-    // `execute_blocked_prepacked_pooled` and `prepack_panels`);
-    // `mixq-verify` re-checks the same geometry statically per graph
-    // (`check_dot_geometry`).
+    // and `k ≤ MAX_DOT_LEN` are established on the cold setup path above
+    // (the hard asserts in `execute_blocked_prepacked_pooled` and
+    // `prepack_panels`); `mixq-verify` re-checks the same geometry
+    // statically per graph (`check_dot_geometry`).
     debug_assert_eq!(out.len(), rows * co_n);
     debug_assert_eq!(acc.len(), 2 * co_n + GemmTerms::scratch_len(co_n));
-
-    // Patches longer than the i32 accumulation bound take the cold
-    // chunked path (real layers never do: k = k_h·k_w·c_i).
-    if k > MAX_DOT_LEN {
-        return blocked_rows_long(
-            requant,
-            plan,
-            panels,
-            data,
-            zx as i64,
-            level,
-            rows,
-            out,
-            requants,
-            threshold_cmps,
-        );
-    }
 
     // Per-channel hoisted terms: acc = Σ X·W − Zw·Σ X − Zx·(Σ W − k·Zw),
     // the exact expansion of Σ (X − Zx)(W − Zw). `Σ W − k·Zw` is the
@@ -537,106 +532,13 @@ fn blocked_rows(
     }
 }
 
-/// Cold fallback for `k >` [`MAX_DOT_LEN`]: even-length column chunks of
-/// the pair-interleaved panel (each chunk a contiguous `pairs` range)
-/// accumulate in i32 and flush into per-channel `i64` totals between
-/// chunks. Same arithmetic, so still bit-identical; allocates its own
-/// wide scratch — acceptable off the steady-state path, since no
-/// convolution geometry in the networks reaches this patch length.
-#[allow(clippy::too_many_arguments)]
-fn blocked_rows_long(
-    requant: &Requantizer,
-    plan: &RequantPlan,
-    panels: &PackedPanels,
-    data: &[u8],
-    zx: i64,
-    level: SimdLevel,
-    rows: usize,
-    out: &mut [u8],
-    requants: &mut u64,
-    threshold_cmps: &mut u64,
-) {
-    let k = panels.k;
-    let co_n = panels.sumw.len();
-    let zw = &panels.zw;
-    let wbase = &panels.base;
-    let chunk = MAX_DOT_LEN & !1;
-    let mut acc = vec![0i32; 2 * co_n];
-    let mut wide = vec![0i64; 2 * co_n];
-    let mut r = 0;
-    while r < rows {
-        let pair = r + 1 < rows;
-        let x0 = &data[r * k..r * k + k];
-        let x1 = if pair {
-            &data[(r + 1) * k..(r + 1) * k + k]
-        } else {
-            x0
-        };
-        let sx0 = simd::row_sum(level, x0);
-        let sx1 = if pair { simd::row_sum(level, x1) } else { 0 };
-        wide.fill(0);
-        let mut c0 = 0usize;
-        while c0 < k {
-            let c1 = (c0 + chunk).min(k);
-            let (acc0, acc1) = acc.split_at_mut(co_n);
-            acc0.fill(0);
-            acc1.fill(0);
-            // Column chunk [c0, c1): pairs are k-major, so the chunk's
-            // panel bytes are one contiguous range; the odd tail only
-            // exists at the true end of the patch.
-            let tail = if c1 == k { &panels.tail[..] } else { &[] };
-            simd::gemv2(
-                level,
-                &x0[c0..c1],
-                &x1[c0..c1],
-                &panels.pairs[(c0 / 2) * co_n * 2..(c1 / 2) * co_n * 2],
-                tail,
-                acc0,
-                acc1,
-            );
-            let (w0, w1) = wide.split_at_mut(co_n);
-            simd::requant::widen_accumulate(w0, acc0);
-            simd::requant::widen_accumulate(w1, acc1);
-            c0 = c1;
-        }
-        // The hot path's hoisted corrections, folded in i64 over the wide
-        // totals the chunked accumulation requires; `apply_phi_block`
-        // requantizes them (thresholds in-vector, fixed point on x86
-        // through the scalar oracle).
-        let o0 = r * co_n;
-        let (w0, w1) = wide.split_at_mut(co_n);
-        simd::requant::fold_corrections(w0, sx0, zx, zw, wbase);
-        simd::requant::apply_phi_block(
-            plan,
-            requant,
-            level,
-            0,
-            w0,
-            &mut out[o0..o0 + co_n],
-            requants,
-            threshold_cmps,
-        );
-        if pair {
-            simd::requant::fold_corrections(w1, sx1, zx, zw, wbase);
-            simd::requant::apply_phi_block(
-                plan,
-                requant,
-                level,
-                0,
-                w1,
-                &mut out[o0 + co_n..o0 + 2 * co_n],
-                requants,
-                threshold_cmps,
-            );
-        }
-        r += if pair { 2 } else { 1 };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActivationArena, KernelChoice, OpOutput, QConvWeights, QOp, WeightOffset};
+    use crate::{
+        ActivationArena, AnyOp, Backend, KernelChoice, OpOutput, QConvWeights, QGraph, QOp,
+        TiledBackend, WeightOffset,
+    };
     use mixq_quant::{BitWidth, FixedPointMultiplier};
     use mixq_tensor::{ConvGeometry, Padding};
 
@@ -823,45 +725,67 @@ mod tests {
         assert_eq!(ob, blocked_ledger(&conv, &x, &od));
     }
 
+    /// A 1×1 dense conv over `ci` input channels whose multipliers keep
+    /// the codes of patches near [`MAX_DOT_LEN`] off the clamp rails.
+    fn long_pointwise(ci: usize) -> QConv2d {
+        let conv = make_conv(3, ci, 1, 1, BitWidth::W8, true);
+        let requant = Requantizer::icn(
+            vec![0, -1000, 1000],
+            (1..=3)
+                .map(|c| FixedPointMultiplier::from_real(1e-8 * c as f64))
+                .collect(),
+            2,
+            BitWidth::W4,
+        );
+        QConv2d::new(conv.weights().clone(), conv.geometry(), requant)
+    }
+
     #[test]
-    fn long_patch_chunked_path_matches_direct() {
-        // k = 3·3·ci can exceed MAX_DOT_LEN only at absurd widths; force
-        // the cold chunked path with a shrunken bound stand-in instead:
-        // compare the chunked fallback directly against the hot path on a
-        // normal layer (both must match the direct kernel bit-for-bit).
-        let conv = make_conv(3, 4, 3, 1, BitWidth::W8, true);
-        let x = make_input(5, 5, 4, BitWidth::W8, 2);
-        let panels = conv.prepack_panels();
-        let mut hot = Vec::new();
+    fn contract_length_patch_runs_blocked() {
+        // k = MAX_DOT_LEN, the longest patch the one i32 run takes.
+        let conv = long_pointwise(MAX_DOT_LEN);
+        assert!(conv
+            .supported_kernels()
+            .contains(&KernelChoice::BlockedGemm));
+        let x = make_input(1, 1, MAX_DOT_LEN, BitWidth::W8, 3);
+        let (mut od, mut ob) = (OpCounts::default(), OpCounts::default());
+        let direct = conv.execute(&x, &mut od);
+        let codes = direct.codes();
+        assert!(codes.iter().any(|&c| c != codes[0]), "codes must vary");
+        assert_eq!(direct, blocked(&conv, &x, &mut ob));
+        assert_eq!(ob, blocked_ledger(&conv, &x, &od));
+    }
+
+    #[test]
+    fn past_contract_patch_runs_direct() {
+        // k = MAX_DOT_LEN + 1: only the direct loop's i64 accumulation is
+        // offered, so even the tiled backend keeps the layer direct.
+        let k = MAX_DOT_LEN + 1;
+        let conv = long_pointwise(k);
+        assert_eq!(conv.supported_kernels(), &[KernelChoice::DirectConv]);
+        let x = make_input(1, 1, k, BitWidth::W8, 3);
+        let backend = TiledBackend::default();
+        let op = AnyOp::Conv(conv.clone());
+        assert_eq!(
+            backend.select(&op, &[x.shape()], &[BitWidth::W8]),
+            KernelChoice::DirectConv
+        );
+        let mut g = QGraph::with_input(x.shape(), BitWidth::W8);
+        g.push_with("pw", conv.clone(), &backend);
+        assert_eq!(g.kernel_choices(), vec![KernelChoice::DirectConv]);
         let mut ops = OpCounts::default();
-        let shape = conv.execute_blocked_prepacked_pooled(
-            &panels,
-            &x,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut hot,
-            &mut ops,
-        );
-        let rows = shape.pixels() * shape.n;
-        let mut cold = vec![0u8; rows * panels.out_channels()];
-        let (mut rq, mut tc) = (0u64, 0u64);
-        // Rebuild the im2col matrix the hot path consumed.
-        let mut data = Vec::new();
-        let mut scratch_ops = OpCounts::default();
-        conv.im2col_into(&x, &mut data, &mut scratch_ops);
-        blocked_rows_long(
-            conv.requant(),
-            conv.plan(),
-            &panels,
-            &data,
-            x.zero_point() as i64,
-            simd::active_level(),
-            rows,
-            &mut cold,
-            &mut rq,
-            &mut tc,
-        );
-        assert_eq!(hot, cold, "chunked fallback diverges from hot path");
+        let direct = conv.execute(&x, &mut ops);
+        let run = g.run(x);
+        assert_eq!(run.total_ops(), ops);
+        assert_eq!(run.output, Some(direct));
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DOT_LEN")]
+    fn blocked_rejects_past_contract_patch() {
+        let k = MAX_DOT_LEN + 1;
+        let x = make_input(1, 1, k, BitWidth::W8, 3);
+        let _ = blocked(&long_pointwise(k), &x, &mut OpCounts::default());
     }
 
     #[test]

@@ -74,6 +74,7 @@ use mixq_tensor::Shape;
 
 use crate::backend::{Backend, KernelChoice};
 use crate::blocked::{im2col_scratch_bytes, PackedPanels};
+use crate::simd::MAX_DOT_LEN;
 use crate::{OpCounts, QActivation, QAdd, QAvgPool, QConv2d, QLinear};
 
 /// A node's prepacked weight operand, built **once** when the node's
@@ -286,8 +287,11 @@ impl QOp for QConv2d {
     }
 
     fn supported_kernels(&self) -> &'static [KernelChoice] {
-        if self.weights().is_depthwise() {
-            // CMSIS-NN lowers depthwise directly; there is no im2col form.
+        let w = self.weights();
+        // CMSIS-NN lowers depthwise directly; there is no im2col form. The
+        // blocked GEMM accumulates a whole patch in one `i32` run, so a
+        // patch past `MAX_DOT_LEN` runs the direct loop's `i64` one.
+        if w.is_depthwise() || self.geometry().kernel_area() * w.in_channels() > MAX_DOT_LEN {
             &[KernelChoice::DirectConv]
         } else {
             &[KernelChoice::DirectConv, KernelChoice::BlockedGemm]

@@ -15,10 +15,11 @@
 //!
 //! Layout: [`RequantPlan`] is a SIMD-friendly transposition of a
 //! [`Requantizer`] built once per layer ([`crate::QConv2d::new`] owns one).
-//! The entry points ([`apply_gemm_row`], [`apply_i32_block`],
-//! [`apply_phi_block`], [`qadd_lut`]) take an explicit [`SimdLevel`] and
-//! fall back to the scalar `Requantizer::apply` loop for whatever the vector
-//! kernels cannot prove exact.
+//! The entry points take an explicit [`SimdLevel`] and fall back to the
+//! scalar `Requantizer::apply` loop for whatever the vector kernels cannot
+//! prove exact. Both requantizing entries take `i32` accumulators:
+//! [`apply_gemm_row`] the blocked GEMM's rows, [`apply_i32_block`] the
+//! depthwise core's blocks. [`qadd_lut`] is the residual add's table path.
 //!
 //! # The 8 × i32 fixed-point kernel (AVX2)
 //!
@@ -402,34 +403,6 @@ fn oracle(req: &Requantizer, lane: usize, phi: i64) -> u8 {
     )
 }
 
-/// Requantizes precomputed `Φ` values for lanes `c0..c0 + phis.len()`
-/// into output codes. Bit-identical to calling
-/// `req.apply((c0 + i) mod C, phis[i], ..)` per element (`C` the
-/// requantizer's channels; the identity unless the plan is
-/// [`RequantPlan::tiled`]), with identical ledger totals.
-///
-/// The cold long-patch GEMM path's entry: thresholds run in-vector, and
-/// fixed point on x86 takes the scalar oracle.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_phi_block(
-    plan: &RequantPlan,
-    req: &Requantizer,
-    level: SimdLevel,
-    c0: usize,
-    phis: &[i64],
-    out: &mut [u8],
-    requants: &mut u64,
-    cmps: &mut u64,
-) {
-    assert_eq!(phis.len(), out.len(), "phi/out length mismatch");
-    assert!(c0 + phis.len() <= plan.channels(), "channel range overflow");
-    let done = vector_phi(plan, level, c0, phis, out);
-    plan.charge(c0, done, requants, cmps);
-    for i in done..phis.len() {
-        out[i] = req.apply(channel_of(c0 + i, req.channels()), phis[i], requants, cmps);
-    }
-}
-
 /// The channel of a `channels`-channel requantizer that plan lane `lane`
 /// stands for (`lane mod channels`, without a division on untiled plans).
 #[inline]
@@ -442,8 +415,10 @@ fn channel_of(lane: usize, channels: usize) -> usize {
 }
 
 /// Requantizes a block of `i32` accumulators (`Φ = acc`) for lanes
-/// `c0..c0 + accs.len()` — the depthwise fast core's epilogue (see
-/// [`apply_phi_block`] for the lane-to-channel map). Takes any
+/// `c0..c0 + accs.len()` — the depthwise fast core's epilogue.
+/// Bit-identical to calling `req.apply((c0 + i) mod C, accs[i], ..)` per
+/// element (`C` the requantizer's channels; the identity unless the plan
+/// is [`RequantPlan::tiled`]), with identical ledger totals. Takes any
 /// accumulators: a vector whose `acc + Bq` overflows `i32` is handed to
 /// the scalar oracle.
 #[allow(clippy::too_many_arguments)]
@@ -589,25 +564,6 @@ pub fn apply_gemm_row(
     }
 }
 
-/// Flushes a block of `i32` GEMV accumulators into `i64` wide totals — the
-/// long-`k` chunked path's widening step.
-pub fn widen_accumulate(wide: &mut [i64], acc: &[i32]) {
-    debug_assert_eq!(wide.len(), acc.len());
-    for (w, &a) in wide.iter_mut().zip(acc) {
-        *w += a as i64;
-    }
-}
-
-/// In-place hoisted zero-point correction over wide accumulators:
-/// `phi[c] −= zw[c]·sx + zx·wbase[c]` (Eq. 4). Exact in `i64` for any `k`.
-pub fn fold_corrections(phi: &mut [i64], sx: i64, zx: i64, zw: &[i64], wbase: &[i64]) {
-    debug_assert_eq!(phi.len(), zw.len());
-    debug_assert_eq!(phi.len(), wbase.len());
-    for (c, p) in phi.iter_mut().enumerate() {
-        *p -= zw[c] * sx + zx * wbase[c];
-    }
-}
-
 /// The `QAdd` flat fast path: `out[i] = clamp(zy + lut_a[a[i]] + lut_b[b[i]],
 /// 0, qmax)`. Pure compute — the caller charges the ledger (which models the
 /// MCU's two per-element requants, not the host LUT strategy).
@@ -635,35 +591,6 @@ pub fn qadd_lut(
     };
     for i in done..out.len() {
         out[i] = (zy + lut_a[a[i] as usize] + lut_b[b[i] as usize]).clamp(0, qmax) as u8;
-    }
-}
-
-/// Dispatches the precomputed-`Φ` vector kernel; returns how many leading
-/// elements were handled (0 → caller runs the scalar loop for everything).
-fn vector_phi(
-    plan: &RequantPlan,
-    level: SimdLevel,
-    c0: usize,
-    phis: &[i64],
-    out: &mut [u8],
-) -> usize {
-    if !plan.vectorizable() {
-        return 0;
-    }
-    // SAFETY (all arms): the ISA is positively detected — `level` comes
-    // from runtime feature detection. `plan.vectorizable()` (checked
-    // above, and cross-checked per graph by `mixq-verify::requant_gate`)
-    // guarantees the regime the kernels assume: fixed-point shifts in
-    // [0, 63] and threshold tables of ≤ 15 entries; the caller checked
-    // `c0 + phis.len() ≤ plan.channels()`.
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see above.
-        SimdLevel::Avx2 => unsafe { x86::thresh_phi_avx2(plan, c0, phis, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: see above; NEON is baseline on aarch64.
-        SimdLevel::Neon => unsafe { neon::phi_neon(plan, c0, phis, out) },
-        _ => 0,
     }
 }
 
@@ -934,49 +861,6 @@ mod x86 {
         _mm256_blendv_epi8(cnt, konstv, emptyv)
     }
 
-    /// Precomputed-`Φ` entry, AVX2: threshold plans only (4 channels per
-    /// iteration); fixed point returns 0 and takes the scalar oracle.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available and the plan vectorizable; `out` is as long
-    /// as `phis` and `c0 + phis.len() ≤ plan.channels()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn thresh_phi_avx2(
-        plan: &RequantPlan,
-        c0: usize,
-        phis: &[i64],
-        out: &mut [u8],
-    ) -> usize {
-        let PlanKind::Thresh {
-            len,
-            thr_t,
-            flip,
-            empty,
-            konst,
-            ..
-        } = &plan.kind
-        else {
-            return 0;
-        };
-        let n = phis.len() & !3;
-        for i in (0..n).step_by(4) {
-            let phi = _mm256_loadu_si256(phis.as_ptr().add(i) as *const __m256i);
-            let code = thresh_lanes_avx2(
-                phi,
-                c0 + i,
-                plan.channels(),
-                *len,
-                thr_t.as_ptr(),
-                flip.as_ptr(),
-                empty.as_ptr(),
-                konst.as_ptr(),
-            );
-            store4_codes(code, out.as_mut_ptr().add(i));
-        }
-        n
-    }
-
     /// Where [`block_avx2`]'s per-lane addend `b`, with `acc + b = Φ + Bq`,
     /// comes from.
     #[derive(Clone, Copy)]
@@ -1223,7 +1107,9 @@ mod neon {
         vbslq_s64(emptyv, konstv, cnt)
     }
 
-    /// Precomputed-`Φ` entry, NEON (2 channels per iteration).
+    /// Requantizes `i64` `Φ` lanes, 2 channels per iteration: the kernel
+    /// behind [`super::apply_i32_block`]'s NEON arm, which widens its
+    /// accumulators chunk by chunk.
     pub unsafe fn phi_neon(plan: &RequantPlan, c0: usize, phis: &[i64], out: &mut [u8]) -> usize {
         let n = phis.len() & !1;
         let zyv = vdupq_n_s64(plan.zy);
@@ -1391,38 +1277,6 @@ mod tests {
         Requantizer::thresholds(channels, zy, bits)
     }
 
-    fn check_phi_all_levels(req: &Requantizer, phis: &[i64]) {
-        let plan = RequantPlan::new(req);
-        let co = req.channels();
-        for lv in levels() {
-            for c0 in [0usize, 1, 3] {
-                if c0 + phis.len().min(co - c0) > co {
-                    continue;
-                }
-                let n = (co - c0).min(phis.len());
-                let (mut r_ref, mut c_ref) = (7u64, 11u64);
-                let mut want = vec![0u8; n];
-                for (i, w) in want.iter_mut().enumerate() {
-                    *w = req.apply(c0 + i, phis[i], &mut r_ref, &mut c_ref);
-                }
-                let (mut r_got, mut c_got) = (7u64, 11u64);
-                let mut got = vec![0u8; n];
-                apply_phi_block(
-                    &plan,
-                    req,
-                    lv,
-                    c0,
-                    &phis[..n],
-                    &mut got,
-                    &mut r_got,
-                    &mut c_got,
-                );
-                assert_eq!(got, want, "codes differ at level {lv:?}, c0={c0}");
-                assert_eq!((r_got, c_got), (r_ref, c_ref), "ledger differs at {lv:?}");
-            }
-        }
-    }
-
     #[test]
     fn fixed_phi_matches_scalar_apply_all_levels() {
         for (seed, co, bits) in [
@@ -1432,19 +1286,18 @@ mod tests {
         ] {
             let req = random_icn(seed, co, bits);
             let mut s = seed ^ 0xabcdef;
-            // Extremes stay shy of i64::MAX/MIN: the scalar `apply` adds
-            // `bq` before saturating, so ±(2^62) is the supported domain —
-            // still far past the i32 clamp both paths must hit identically.
-            let phis: Vec<i64> = (0..co)
+            // Per-channel `Bq` on accumulators up to the `i32` edges, where
+            // `acc + Bq` leaves `i32` and the vector must take the oracle.
+            let accs: Vec<i32> = (0..co)
                 .map(|i| match i % 5 {
-                    0 => lcg(&mut s) as i64 % 1_000_000 - 500_000,
-                    1 => (1i64 << 62) - lcg(&mut s) as i64 % 1000,
-                    2 => -(1i64 << 62) + lcg(&mut s) as i64 % 1000,
-                    3 => (lcg(&mut s) as i64 % 3_000_000_000) - 1_500_000_000,
+                    0 => lcg(&mut s) as i32 % 1_000_000 - 500_000,
+                    1 => i32::MAX - lcg(&mut s) as i32 % 1000,
+                    2 => i32::MIN + lcg(&mut s) as i32 % 1000,
+                    3 => (lcg(&mut s) as i64 % 3_000_000_000 - 1_500_000_000) as i32,
                     _ => 0,
                 })
                 .collect();
-            check_phi_all_levels(&req, &phis);
+            check_i32_all_levels(&req, &accs);
         }
     }
 
@@ -1457,18 +1310,18 @@ mod tests {
         ] {
             let req = random_thresholds(seed, co, bits);
             let mut s = seed ^ 0x1234;
-            let phis: Vec<i64> = (0..co)
+            let accs: Vec<i32> = (0..co)
                 .map(|i| match i % 4 {
-                    0 => lcg(&mut s) as i64 % 100_000 - 50_000,
-                    1 => i64::MAX - lcg(&mut s) as i64 % 3,
-                    2 => i64::MIN + lcg(&mut s) as i64 % 3,
-                    _ => lcg(&mut s) as i64 % 100 - 50,
+                    0 => lcg(&mut s) as i32 % 100_000 - 50_000,
+                    1 => i32::MAX - lcg(&mut s) as i32 % 3,
+                    2 => i32::MIN + lcg(&mut s) as i32 % 3,
+                    _ => lcg(&mut s) as i32 % 100 - 50,
                 })
                 .collect();
-            check_phi_all_levels(&req, &phis);
+            check_i32_all_levels(&req, &accs);
             // The saturated-i16 ablation path produces duplicate clamped
             // thresholds — the compare-accumulate must still match.
-            check_phi_all_levels(&req.saturated_i16(), &phis);
+            check_i32_all_levels(&req.saturated_i16(), &accs);
         }
     }
 
@@ -1477,8 +1330,14 @@ mod tests {
         let req = random_thresholds(9, 10, BitWidth::W8);
         let plan = RequantPlan::new(&req);
         assert!(!plan.vectorizable(), "255-entry tables must stay scalar");
-        let phis: Vec<i64> = (0..10).map(|i| i as i64 * 7 - 31).collect();
-        check_phi_all_levels(&req, &phis);
+        let accs: Vec<i32> = (0..10)
+            .map(|i| match i {
+                0 => i32::MIN,
+                9 => i32::MAX,
+                _ => i * 7 - 31,
+            })
+            .collect();
+        check_i32_all_levels(&req, &accs);
     }
 
     /// A 1×1 convolution of `ci` inputs over `req`'s channels with
@@ -1868,8 +1727,7 @@ mod tests {
         if m.exponent() as i32 > 31 {
             let req = Requantizer::icn(vec![0; 4], vec![m; 4], 0, BitWidth::W8);
             assert!(!RequantPlan::new(&req).vectorizable());
-            let phis = [1i64, -1, 1 << 20, i64::MAX];
-            check_phi_all_levels(&req, &phis);
+            check_i32_all_levels(&req, &[-1, 1 << 20, i32::MIN, i32::MAX]);
         }
     }
 
@@ -1877,7 +1735,6 @@ mod tests {
     fn folded_per_layer_plan_broadcasts_multiplier() {
         let mult = FixedPointMultiplier::from_real(0.0042);
         let req = Requantizer::folded(vec![5, -9, 100, 0, 77], mult, 3, BitWidth::W4);
-        let phis = [0i64, 999, -4096, 1 << 30, -(1 << 30)];
-        check_phi_all_levels(&req, &phis);
+        check_i32_all_levels(&req, &[999, -4096, 1 << 30, i32::MAX, i32::MIN]);
     }
 }

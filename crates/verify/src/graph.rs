@@ -6,8 +6,8 @@
 //!
 //! * **u8 codes** — `[0, 2^Q − 1]` from the tensor plan's bit widths;
 //! * **dot-product chunks** — the `i32` accumulation run the blocked GEMM
-//!   hands `gemv2` (`k` on the fused hot path, `MAX_DOT_LEN & !1` chunks
-//!   on the `blocked_rows_long` cold path, odd-`k` tails included);
+//!   hands `gemv2`: the whole patch, odd-`k` tails included, which the
+//!   kernel's contract bounds by `MAX_DOT_LEN`;
 //! * **folded `Φ`** — the per-channel `i64` totals after the hoisted
 //!   zero-point corrections, bounded *tightly* from the actual weight
 //!   codes (not the generic `±k·qx·qw` hull);
@@ -75,17 +75,29 @@ pub fn check_dot_geometry(
     (acc, violations)
 }
 
-/// The chunk length the blocked dispatch actually accumulates in `i32`
-/// before flushing to `i64`: the whole `k` on the fused hot path, or the
-/// even-truncated `MAX_DOT_LEN` chunk on the `blocked_rows_long` cold
-/// path (whose final chunk also absorbs the odd-`k` tail element, still
-/// within the same bound).
-pub fn blocked_chunk_len(k: usize) -> usize {
-    if k <= MAX_DOT_LEN {
-        k
-    } else {
-        MAX_DOT_LEN & !1
+/// The direct loop's accumulator interval `±k·qx·qw`: it accumulates
+/// `(x − Zx)(w − Zw)` in `i64` over a `k`-tap dot, for the dense layers
+/// that do not lower to the blocked GEMM. Returns the interval plus an
+/// `i64-acc` violation if it leaves `i64`.
+pub(crate) fn check_direct_acc(
+    node: &str,
+    k: usize,
+    qx: u32,
+    qw: u32,
+) -> (Interval, Vec<Violation>) {
+    let acc = Interval::new(-(qx as i128) * qw as i128, qx as i128 * qw as i128).sum_of(k);
+    let mut violations = Vec::new();
+    if !acc.fits_i64() {
+        let (lo, hi) = acc.clamped_i64();
+        violations.push(Violation::AccOverflow {
+            node: node.to_string(),
+            stage: "i64-acc",
+            lo,
+            hi,
+            bound: "i64",
+        });
     }
+    (acc, violations)
 }
 
 /// Tight per-output-channel intervals of the folded accumulator
@@ -458,8 +470,9 @@ fn verify_conv(
         None => Interval::new(0, qx as i128),
     };
 
-    // i32 accumulation stage of the resolved kernel.
-    let (chunk, acc) = match (depthwise, choice) {
+    // Accumulation stage of the resolved kernel; each runs all `taps` in
+    // one register.
+    let acc = match (depthwise, choice) {
         // Depthwise core: i16 operands (x − Zx, w − Zw) into an i32
         // accumulator over `kernel_area` taps per channel.
         (true, _) => {
@@ -487,30 +500,20 @@ fn verify_conv(
                     bound: "i32",
                 });
             }
-            (taps, acc)
+            acc
         }
-        // Blocked GEMM: unsigned code dot products in i32 chunks.
+        // Blocked GEMM: unsigned code dot products over the whole patch
+        // in one i32 run.
         (false, KernelChoice::BlockedGemm) => {
-            let chunk = blocked_chunk_len(taps);
-            let (acc, geo) = check_dot_geometry(name, taps, chunk, qx, qw);
+            let (acc, geo) = check_dot_geometry(name, taps, taps, qx, qw);
             violations.extend(geo);
-            (chunk, acc)
+            acc
         }
         // The direct loop accumulates (x − Zx)(w − Zw) in i64.
         (false, KernelChoice::DirectConv) => {
-            let acc =
-                Interval::new(-(qx as i128) * qw as i128, qx as i128 * qw as i128).sum_of(taps);
-            if !acc.fits_i64() {
-                let (lo, hi) = acc.clamped_i64();
-                violations.push(Violation::AccOverflow {
-                    node: name.to_string(),
-                    stage: "i64-acc",
-                    lo,
-                    hi,
-                    bound: "i64",
-                });
-            }
-            (taps, acc)
+            let (acc, checks) = check_direct_acc(name, taps, qx, qw);
+            violations.extend(checks);
+            acc
         }
     };
 
@@ -603,7 +606,7 @@ fn verify_conv(
         op: if depthwise { "dwconv" } else { "conv" },
         choice: choice.label(),
         k: taps,
-        chunk,
+        chunk: taps,
         acc: acc.clamped_i64(),
         phi: phi_hull.clamped_i64(),
         vectorizable: plan_gate,

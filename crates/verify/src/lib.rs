@@ -9,10 +9,11 @@
 //! * **(a) No intermediate overflows its width for any input.** Interval
 //!   (abstract-interpretation) range analysis follows each kernel's exact
 //!   dataflow: u8 code ranges from the tensor plan's bit widths →
-//!   unsigned dot-product partial sums → `i32` accumulator chunks
-//!   (including the `blocked_rows_long` chunked cold path and odd-`k`
-//!   tails) → `i64` flush with hoisted zero-point corrections → the
-//!   requantizer's saturating `Φ + Bq` input; for depthwise layers, the
+//!   unsigned dot-product partial sums → the blocked GEMM's one `i32`
+//!   accumulator run over the whole patch (`k ≤ MAX_DOT_LEN`, odd-`k`
+//!   tails included) or the direct loop's `i64` accumulation → hoisted
+//!   zero-point corrections → the requantizer's saturating `Φ + Bq`
+//!   input; for depthwise layers, the
 //!   core's `i16` operands (`x − Zx`, `w − Zw`) and its `i32`
 //!   accumulator, widened from the actual weights whenever a zero-point
 //!   lies outside its code range. Conv `Φ` bounds are computed **tightly
@@ -73,8 +74,8 @@ pub mod report;
 pub mod spec;
 
 pub use graph::{
-    blocked_chunk_len, check_dot_geometry, check_schedule, conv_phi_intervals, requant_gate,
-    verify_add_node, verify_graph,
+    check_dot_geometry, check_schedule, conv_phi_intervals, requant_gate, verify_add_node,
+    verify_graph,
 };
 pub use interval::Interval;
 pub use report::{NodeCert, VerifyReport, Violation};

@@ -31,7 +31,9 @@ pub enum Violation {
     },
     /// A dot-product chunk handed to `gemv2` exceeds the kernel's
     /// `MAX_DOT_LEN` dispatch contract (the u16-pair SIMD cores are only
-    /// proven for chunks up to this length).
+    /// proven for chunks up to this length) — e.g. a `BlockedGemm` node
+    /// whose patch is longer, which `QConv2d::supported_kernels` never
+    /// offers.
     DotLengthExceedsKernel {
         /// Node name.
         node: String,
@@ -280,10 +282,13 @@ pub struct NodeCert {
     pub choice: &'static str,
     /// Dot length `k` (kernel taps × input channels; 0 where not a dot).
     pub k: usize,
-    /// Longest contiguous run accumulated in `i32` before the `i64` flush
-    /// (`k` on the fused hot path, the chunk size on the long path).
+    /// Longest contiguous run accumulated in one register. It equals `k`
+    /// on every certificate the verifier builds: the blocked GEMM runs
+    /// its whole patch in one `i32` run (`k ≤ MAX_DOT_LEN`), and the
+    /// other kernels never split a dot.
     pub chunk: usize,
-    /// Proven interval of the `i32` accumulation stage.
+    /// Proven interval of the accumulation stage (`i32` on the blocked
+    /// GEMM and the depthwise core, `i64` on the direct loop).
     pub acc: (i64, i64),
     /// Proven interval of the folded `Φ` (per-channel hull, worst-case
     /// input zero-point) — the requantizer's input domain.

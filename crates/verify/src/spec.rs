@@ -2,7 +2,8 @@
 //!
 //! Before a single weight is trained, the worst-case overflow and
 //! geometry facts are already determined by shapes and widths: the dot
-//! length `k` of every layer, the chunking the blocked GEMM would use,
+//! length `k` of every layer, the kernel it lowers to (the blocked GEMM's
+//! one `i32` run up to `MAX_DOT_LEN`, the direct loop's `i64` past it),
 //! and the generic accumulator hull `±k·qx·qw` (weights unknown, so the
 //! symmetric bound replaces [`conv_phi_intervals`]'s tight one). This is
 //! the deployment-time pre-check: it runs over every model-zoo spec ×
@@ -11,10 +12,11 @@
 //!
 //! [`conv_phi_intervals`]: crate::graph::conv_phi_intervals
 
+use mixq_kernels::simd::MAX_DOT_LEN;
 use mixq_models::{LayerKind, NetworkSpec, SpecOp};
 use mixq_quant::BitWidth;
 
-use crate::graph::{blocked_chunk_len, check_dot_geometry, check_schedule};
+use crate::graph::{check_direct_acc, check_dot_geometry, check_schedule};
 use crate::interval::Interval;
 use crate::report::{NodeCert, VerifyReport, Violation};
 
@@ -62,9 +64,15 @@ pub fn verify_spec(
                         } else {
                             layer.kernel() * layer.kernel() * layer.in_channels()
                         };
-                        let chunk = blocked_chunk_len(k);
-                        let (acc, geo) = check_dot_geometry(layer.name(), k, chunk, qx, qw);
-                        violations.extend(geo);
+                        // The kernel the layer lowers to: the blocked
+                        // GEMM accumulates up to `MAX_DOT_LEN` taps in
+                        // `i32`, the direct loop any longer dot in `i64`.
+                        let (acc, checks) = if k <= MAX_DOT_LEN {
+                            check_dot_geometry(layer.name(), k, k, qx, qw)
+                        } else {
+                            check_direct_acc(layer.name(), k, qx, qw)
+                        };
+                        violations.extend(checks);
                         let phi =
                             Interval::new(-(qx as i128) * qw as i128, qx as i128 * qw as i128)
                                 .sum_of(k);
@@ -77,7 +85,7 @@ pub fn verify_spec(
                             },
                             choice: "spec",
                             k,
-                            chunk,
+                            chunk: k,
                             acc: acc.clamped_i64(),
                             phi: phi.clamped_i64(),
                             vectorizable: true,

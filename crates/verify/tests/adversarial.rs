@@ -11,11 +11,12 @@ use mixq_kernels::{
     AnyOp, KernelChoice, QAdd, QConv2d, QConvWeights, QGraph, Requantizer, ThresholdChannel,
     TiledBackend, WeightOffset,
 };
+use mixq_models::{LayerSpec, NetworkSpec};
 use mixq_quant::{BitWidth, FixedPointMultiplier};
 use mixq_tensor::{ConvGeometry, Padding, Shape};
 use mixq_verify::{
-    blocked_chunk_len, check_dot_geometry, check_schedule, requant_gate, verify_add_node,
-    verify_graph, Violation,
+    check_dot_geometry, check_schedule, requant_gate, verify_add_node, verify_graph,
+    verify_spec_uniform, Violation,
 };
 
 /// Runs `gemv2` over an all-max panel (`x = w = 255` everywhere) at dot
@@ -81,14 +82,26 @@ fn gemv2_odd_k_tail_bit_identity() {
 }
 
 #[test]
-fn chunking_covers_past_contract_lengths() {
-    // k = MAX_DOT_LEN + 1 cannot be one chunk; the blocked cold path
-    // splits it and the verifier's chunk model stays within the contract.
-    for k in [MAX_DOT_LEN + 1, 2 * MAX_DOT_LEN + 7, 100_000] {
-        let chunk = blocked_chunk_len(k);
-        assert_eq!(chunk, MAX_DOT_LEN & !1);
-        let (_, violations) = check_dot_geometry("long", k, chunk, 255, 255);
-        assert!(violations.is_empty(), "chunked k = {k} must verify");
+fn spec_layers_past_contract_verify_as_direct_i64() {
+    // Dots longer than MAX_DOT_LEN lower to the direct loop, which
+    // accumulates in i64: a spec with such a conv (k = 3·3·4000 = 36000)
+    // and head (k = 40000) verifies clean, one run of k taps per layer.
+    let spec = NetworkSpec::new(
+        "long",
+        Shape::feature_map(2, 2, 4000),
+        vec![
+            LayerSpec::conv("wide", 3, 1, 4000, 40_000, 2, 2),
+            LayerSpec::linear("fc", 40_000, 10),
+        ],
+    );
+    let report = verify_spec_uniform("long", &spec, BitWidth::W8, BitWidth::W8);
+    assert!(report.ok(), "{}", report.render());
+    for (name, k) in [("wide", 36_000usize), ("fc", 40_000)] {
+        let cert = report.nodes.iter().find(|n| n.node == name).unwrap();
+        assert!(k > MAX_DOT_LEN);
+        assert_eq!((cert.k, cert.chunk), (k, k), "{name}");
+        let hi = k as i64 * 255 * 255;
+        assert_eq!(cert.acc, (-hi, hi), "{name}: the direct loop's i64 hull");
     }
 }
 
@@ -199,8 +212,7 @@ fn forged_join_rejected_with_precise_diagnostics() {
 fn forged_depthwise_gemm_lowering_rejected() {
     let c = 8;
     let input = Shape::feature_map(4, 4, c);
-    let conv = |depthwise: bool, k: usize| {
-        let ci = if depthwise { 1 } else { c };
+    let conv = |depthwise: bool, k: usize, ci: usize| {
         QConv2d::new(
             QConvWeights::new(
                 Shape::new(c, k, k, ci),
@@ -221,20 +233,36 @@ fn forged_depthwise_gemm_lowering_rejected() {
     // A pointwise conv the tiled backend lowers onto the blocked GEMM
     // verifies clean.
     let mut g = QGraph::with_input(input, BitWidth::W8);
-    g.push_with("pw", conv(false, 1), &TiledBackend::default());
+    g.push_with("pw", conv(false, 1, c), &TiledBackend::default());
     assert_eq!(g.kernel_choices(), vec![KernelChoice::BlockedGemm]);
     let report = verify_graph("honest", &g, input, BitWidth::W8);
     assert!(report.ok(), "{}", report.render());
 
     // A depthwise conv swapped into the node keeps the GEMM lowering,
     // which has no depthwise form.
-    *g.nodes_mut()[0].op_mut() = AnyOp::Conv(conv(true, 3));
+    *g.nodes_mut()[0].op_mut() = AnyOp::Conv(conv(true, 3, 1));
     let report = verify_graph("forged", &g, input, BitWidth::W8);
     assert!(
         report.violations.iter().any(|v| matches!(
             v,
             Violation::ShapeMismatch { node, detail }
                 if node == "pw" && detail.contains("GEMM")
+        )),
+        "{}",
+        report.render()
+    );
+
+    // A dense conv whose patch is past the blocked GEMM's contract, which
+    // `supported_kernels` never offers the GEMM for, swapped into the
+    // blocked node: its one i32 run would exceed MAX_DOT_LEN.
+    let k = MAX_DOT_LEN + 1;
+    *g.nodes_mut()[0].op_mut() = AnyOp::Conv(conv(false, 1, k));
+    let report = verify_graph("forged-long", &g, input, BitWidth::W8);
+    assert!(
+        report.violations.iter().any(|v| matches!(
+            v,
+            Violation::DotLengthExceedsKernel { node, k: vk, chunk, max }
+                if node == "pw" && *vk == k && *chunk == k && *max == MAX_DOT_LEN
         )),
         "{}",
         report.render()

@@ -9,9 +9,22 @@
 # <pairs> pairs on seeds seed-base, seed-base + 1, ... (default 1). The
 # side that runs first alternates from pair to pair, so drift on a noisy
 # host hits both sides alike. Prints each run's end-to-end metrics, then
-# per metric the parent and change medians and quartiles and the change's
-# wins, pair by pair (ties count for neither side). Exits non-zero if a run
-# fails or reports `correct: false`. Needs git, cargo and jq.
+# per metric the parent and change medians and quartiles, the change's
+# wins pair by pair (ties count for neither side), and a no-regression
+# verdict against the metric's BENCHMARK.json `bound`:
+#
+#   worse       the change's median is worse than the parent's by more
+#               than the bound (relative to the parent median; absolute
+#               when that median is 0);
+#   unresolved  the parent's own interquartile range, relative to its
+#               median, exceeds the bound, and not every change run reads
+#               better than every parent run;
+#   ok          otherwise.
+#
+# The `worse by` column is signed so that positive means worse in the
+# metric's `better` direction. Exits non-zero if a run fails or reports
+# `correct: false`; the verdicts do not change the exit status. Needs git,
+# cargo and jq.
 set -euo pipefail
 if [ $# -lt 4 ]; then
   echo "usage: $0 <parent-rev> <workload> <pairs> <seconds> [seed-base]" >&2
@@ -70,21 +83,39 @@ jq -s -r --slurpfile spec BENCHMARK.json '
           else $a[$lo] end
       end;
   def fmt: if . == null then "-" else (. * 1000 | round / 1000 | tostring) end;
+  def pct: if . == null then "-" else (. * 1000 | round / 10 + 0 | tostring) + "%" end;
   def summary: "\(q(0.5) | fmt) [\(q(0.25) | fmt), \(q(0.75) | fmt)]";
+  # `$x` relative to the parent median `$pm` (absolute when it is 0).
+  def rel($x; $pm): if $pm == 0 then $x elif $pm < 0 then $x / (0 - $pm) else $x / $pm end;
   . as $runs
   | ($runs | map(.seed) | unique) as $seeds
-  | ["metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "change wins"],
+  | ["metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "change wins",
+     "worse by", "bound", "parent IQR", "verdict"],
     ($spec[0].end_to_end[] as $m
      | def val($side; $seed):
          [$runs[] | select(.side == $side and .seed == $seed)
           | .result.metrics[$m.name].value][0];
      [$seeds[] as $s | {p: val("parent"; $s), c: val("change"; $s)}
       | select(.p != null and .c != null)] as $pairs
+     | ($pairs | map(.p)) as $ps
+     | ($pairs | map(.c)) as $cs
      | [$pairs[] | select(if $m.better == "higher" then .c > .p else .c < .p end)]
        as $wins
-     | [$m.name, $m.better,
-        ($pairs | map(.p) | summary), ($pairs | map(.c) | summary),
-        "\($wins | length)/\($pairs | length)"])
+     | ($ps | q(0.5)) as $pm
+     | (if $m.better == "higher" then 1 else -1 end) as $sign
+     | (if $pm == null then null
+        else rel($sign * ($pm - ($cs | q(0.5))); $pm) end) as $worse
+     | (if $pm == null then null
+        else rel(($ps | q(0.75)) - ($ps | q(0.25)); $pm) end) as $spread
+     | ($pairs != [] and (if $m.better == "higher" then ($cs | min) > ($ps | max)
+                          else ($cs | max) < ($ps | min) end)) as $separated
+     | [$m.name, $m.better, ($ps | summary), ($cs | summary),
+        "\($wins | length)/\($pairs | length)",
+        ($worse | pct), ($m.bound | pct), ($spread | pct),
+        (if $worse == null then "-"
+         elif $worse > $m.bound then "worse"
+         elif $spread > $m.bound and ($separated | not) then "unresolved"
+         else "ok" end)])
   | @tsv' "$runs"
 
 if ! jq -s -e 'all(.[]; .result.correct == true)' "$runs" >/dev/null; then

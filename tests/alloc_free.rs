@@ -1,9 +1,10 @@
 //! Arena-aware packing acceptance: after a warm-up pass, steady-state
-//! integer inference through the pooled path (`quantize_input_pooled` +
-//! `QGraph::infer_pooled`) performs **zero heap allocations** — every code
-//! scratch, packed activation and logits buffer is recycled. The same
-//! guarantee is asserted at **batch > 1** (`quantize_input_items_pooled` +
-//! the same `QGraph::infer_pooled` walk) and for the **tiled backend**, whose
+//! integer inference through the pooled path
+//! (`quantize_input_items_pooled` + `QGraph::infer_pooled`) performs
+//! **zero heap allocations** — every code scratch, packed activation and
+//! logits buffer is recycled. The same
+//! guarantee is asserted at **batch > 1** (the same two calls over a
+//! multi-item range) and for the **tiled backend**, whose
 //! blocked-GEMM nodes stream their prepacked weight panels and draw the
 //! im2col expansion from the arena's auxiliary scratch. The network's
 //! depthwise node reads a **4-bit** activation, so the depthwise core's
@@ -105,7 +106,7 @@ fn steady_state_inference_is_allocation_free() {
     let mut ops = OpCounts::default();
     // Warm-up: buffers are created and grown to their steady capacities.
     for _ in 0..2 {
-        let x = int_net.quantize_input_pooled(&image, &mut arena);
+        let x = int_net.quantize_input_items_pooled(&image, 0, 1, &mut arena);
         int_net
             .graph()
             .infer_pooled(x, &mut arena, &mut logits, &mut ops);
@@ -120,7 +121,7 @@ fn steady_state_inference_is_allocation_free() {
     for _ in 0..5 {
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..8 {
-            let x = int_net.quantize_input_pooled(&image, &mut arena);
+            let x = int_net.quantize_input_items_pooled(&image, 0, 1, &mut arena);
             int_net
                 .graph()
                 .infer_pooled(x, &mut arena, &mut logits, &mut ops);

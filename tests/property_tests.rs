@@ -458,9 +458,10 @@ proptest! {
         impl Backend for BlockedEverywhere {
             fn name(&self) -> &'static str { "blocked-everywhere" }
             fn select(&self, op: &AnyOp, _i: &[Shape], _b: &[BitWidth]) -> KernelChoice {
-                match op {
-                    AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::BlockedGemm,
-                    _ => KernelChoice::DirectConv,
+                if op.supported_kernels().contains(&KernelChoice::BlockedGemm) {
+                    KernelChoice::BlockedGemm
+                } else {
+                    KernelChoice::DirectConv
                 }
             }
         }
@@ -987,24 +988,16 @@ proptest! {
                 if !level.available() {
                     continue;
                 }
+                // The i32-accumulator entry (the depthwise epilogue) takes
+                // every accumulator that fits i32 — all of them here.
+                let accs: Vec<i32> = phis[..n].iter().map(|&p| p as i32).collect();
                 let mut out = vec![0u8; n];
                 let (mut rq, mut tc) = (0u64, 0u64);
-                vreq::apply_phi_block(plan, &req, level, c0, &phis[..n],
+                vreq::apply_i32_block(plan, &req, level, c0, &accs,
                                       &mut out, &mut rq, &mut tc);
                 prop_assert_eq!(&out, &out_ref, "{:?} codes diverge", level);
                 prop_assert_eq!((rq, tc), (rq_ref, tc_ref),
                                 "{:?} ledger diverges", level);
-
-                // The i32-accumulator entry (the depthwise epilogue) takes
-                // every accumulator that fits i32 — all of them here.
-                let accs: Vec<i32> = phis[..n].iter().map(|&p| p as i32).collect();
-                let mut out32 = vec![0u8; n];
-                let (mut rq32, mut tc32) = (0u64, 0u64);
-                vreq::apply_i32_block(plan, &req, level, c0, &accs,
-                                      &mut out32, &mut rq32, &mut tc32);
-                prop_assert_eq!(&out32, &out_ref, "{:?} i32 codes diverge", level);
-                prop_assert_eq!((rq32, tc32), (rq_ref, tc_ref),
-                                "{:?} i32 ledger diverges", level);
             }
         }
     }
