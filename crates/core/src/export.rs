@@ -1,9 +1,15 @@
 //! C header export of a converted integer-only network — the artifact a
 //! real MCU deployment compiles against (the last arrow of Fig. 1).
 //!
-//! Emits the bit-packed weight arrays, the per-layer static parameters
-//! (`Zx/Zw/Bq/M0/N0/Zy` or threshold tables) at their §4.1 datatypes, and a
-//! layer-descriptor table, all as `static const` data placed in flash.
+//! Emits the bit-packed weight arrays and the per-layer static parameters
+//! (`Zx/Zw/Bq/M0/N0/Zy` or threshold tables) at their §4.1 datatypes, all
+//! as `static const` data placed in flash; counts (layers, classes,
+//! thresholds per channel) are `#define`s and take no flash.
+//!
+//! Only chain networks export correctly so far. A residual graph's header
+//! lacks the `QAdd` parameters, and it passes each layer's output
+//! zero-point to the next layer in the list as its `Zx`, which is wrong
+//! for a layer that reads a skip or an add.
 
 use std::fmt::Write as _;
 
@@ -13,9 +19,10 @@ use crate::convert::IntNetwork;
 
 /// Renders the network as a self-contained C header.
 ///
-/// The emitted arrays account for exactly [`IntNetwork::flash_bytes`] of
-/// read-only data (checked in tests), so the header is also a ground-truth
-/// artifact for the memory model.
+/// For a chain network the emitted arrays account for exactly
+/// [`IntNetwork::flash_bytes`] of read-only data under every scheme
+/// (checked in tests), so the header is also a ground-truth artifact for
+/// the memory model.
 ///
 /// # Examples
 ///
@@ -169,7 +176,8 @@ fn emit_requant(out: &mut String, name: &str, i: usize, requant: &Requantizer) {
             emit_i16_array(out, &format!("{name}_l{i}_thr"), &flat);
             let _ = writeln!(
                 out,
-                "static const uint16_t {name}_l{i}_thr_per_ch = {};",
+                "#define {}_L{i}_THR_PER_CH {}",
+                name.to_uppercase(),
                 channels.first().map(|c| c.len()).unwrap_or(0)
             );
             let _ = writeln!(out, "static const uint8_t {name}_l{i}_zy = {zy};");
@@ -266,7 +274,7 @@ mod tests {
         let net = tiny_int_network(QuantScheme::PerChannelThresholds);
         let h = emit_c_header(&net, "thr");
         assert!(h.contains("thr_l0_thr["));
-        assert!(h.contains("thr_l0_thr_per_ch"));
+        assert!(h.contains("#define THR_L0_THR_PER_CH "));
         assert!(!h.contains("thr_l0_m0"), "thresholds replace M0/N0");
     }
 

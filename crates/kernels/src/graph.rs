@@ -9,19 +9,23 @@
 //! class: [`QGraph::push`] keeps the familiar chain behaviour, while
 //! [`QGraph::push_node`] wires arbitrary predecessors.
 //!
-//! The executor owns an [`ActivationArena`]: a liveness-planned buffer
-//! pool. The node order is already a topological schedule (inputs must be
-//! defined before use), per-tensor live ranges follow from each tensor's
-//! last consumer, and packed activation storage is recycled the moment a
+//! One schedule loop executes every walk. The node order is already a
+//! topological schedule (inputs must be defined before use), per-tensor
+//! live ranges follow from each tensor's last consumer, and packed
+//! activation storage is recycled into an [`ActivationArena`] the moment a
 //! tensor dies. [`QGraph::peak_ram_bytes`] reports the true multi-branch
 //! high-water mark of that schedule per Eq. 7 — for a chain it degenerates
 //! to the classic input+output pair, for a residual graph it prices the
-//! extra live skip tensor; [`GraphRun::peak_live_bytes`] is the measured
-//! twin recorded by the executor.
+//! extra live skip tensor.
 //!
-//! Every layer executed through the graph records a [`LayerRun`]: its
-//! [`OpCounts`] ledger, activation bytes and operator class. Cycle models
-//! (`mixq-mcu`) consume the ledger for per-layer latency breakdowns.
+//! [`QGraph::run`] walks with a fresh arena and keeps the ledger: one
+//! [`LayerRun`] per node (its [`OpCounts`], activation bytes and operator
+//! class, which cycle models in `mixq-mcu` turn into per-layer latency
+//! breakdowns) and [`GraphRun::peak_live_bytes`], the measured twin of the
+//! planner's peak. [`QGraph::infer_pooled`] is the same loop without the
+//! ledger: it draws every buffer from a caller-owned arena, writes the
+//! classifier logits into a caller-owned buffer and allocates nothing in
+//! steady state.
 //!
 //! Host-side execution speed is independent of that model: the blocked
 //! GEMM, depthwise and [`QAdd`] nodes requantize their accumulators
@@ -793,10 +797,11 @@ impl GraphRun {
     }
 }
 
-/// The liveness-planned activation buffer pool: one shared unpacked-code
-/// scratch plus a free list of recycled packed-storage buffers, so that —
-/// after a warm-up run — steady-state inference through
-/// [`QGraph::infer_pooled`] performs **zero heap allocations**.
+/// The liveness-planned activation buffer pool: the kernels' scratch
+/// buffers, a free list of recycled packed-storage buffers and the
+/// schedule loop's tensor slots, so that — after a warm-up run —
+/// steady-state inference through [`QGraph::infer_pooled`] performs
+/// **zero heap allocations**. [`QGraph::run`] walks with a fresh arena.
 ///
 /// The arena is the executor-side twin of the Eq. 7 accounting: the
 /// schedule keeps a tensor's storage exactly as long as a consumer still
@@ -817,14 +822,6 @@ impl ActivationArena {
     /// An empty arena (buffers grow on first use).
     pub fn new() -> Self {
         ActivationArena::default()
-    }
-
-    /// Preallocates the code scratch for `code_capacity` unpacked codes.
-    pub fn with_capacity(code_capacity: usize) -> Self {
-        ActivationArena {
-            scratch: Vec::with_capacity(code_capacity),
-            ..ActivationArena::default()
-        }
     }
 
     /// Takes ownership of the unpacked-code scratch buffer. Pair with
@@ -876,20 +873,6 @@ impl ActivationArena {
     /// Recycles a dead activation's packed storage into the pool.
     pub fn recycle(&mut self, act: QActivation) {
         self.packed.push(act.into_storage());
-    }
-
-    /// Current allocated capacity across scratch and pooled buffers, in
-    /// bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.scratch.capacity()
-            + self.aux.capacity()
-            + self.acc.capacity() * 4
-            + self.packed.iter().map(|b| b.capacity()).sum::<usize>()
-    }
-
-    /// Number of packed buffers currently waiting in the pool.
-    pub fn pooled_buffers(&self) -> usize {
-        self.packed.len()
     }
 }
 
@@ -1261,14 +1244,8 @@ impl QGraph {
         *shapes.last().expect("plan includes the input")
     }
 
-    /// Largest unpacked code count across the tensors — the scratch
-    /// preallocation size.
-    fn peak_code_volume(&self, input: Shape) -> usize {
-        let (shapes, _) = self.tensor_plan(input, BitWidth::W8);
-        shapes.iter().map(|s| s.volume()).max().unwrap_or(0)
-    }
-
-    /// Runs the graph on `input` with a freshly planned arena.
+    /// Runs the graph on `input` with a fresh arena, keeping the per-layer
+    /// [`LayerRun`] ledger and the measured peak of live activation bytes.
     ///
     /// # Panics
     ///
@@ -1276,95 +1253,21 @@ impl QGraph {
     /// cannot feed a code-consuming op), or if a node consumes a logits
     /// tensor.
     pub fn run(&self, input: QActivation) -> GraphRun {
-        let mut arena = ActivationArena::with_capacity(self.peak_code_volume(input.shape()));
-        self.run_with_arena(input, &mut arena)
-    }
-
-    /// Takes the arena's reusable schedule state and initializes it: the
-    /// last-use table and the tensor slots, with the graph input in slot 0.
-    /// Pair with [`QGraph::end_schedule`].
-    fn begin_schedule(
-        &self,
-        input: QActivation,
-        arena: &mut ActivationArena,
-    ) -> (Vec<usize>, Vec<Option<QActivation>>) {
-        let mut last = mem::take(&mut arena.last_uses);
-        self.last_uses_into(&mut last);
-        let mut slots = mem::take(&mut arena.slots);
-        slots.clear();
-        slots.resize_with(self.nodes.len() + 1, || None);
-        slots[0] = Some(input);
-        (last, slots)
-    }
-
-    /// Tears a schedule down: extracts the terminal activation (if any),
-    /// recycles every remaining live tensor and hands the reusable state
-    /// back to the arena.
-    fn end_schedule(
-        arena: &mut ActivationArena,
-        last: Vec<usize>,
-        mut slots: Vec<Option<QActivation>>,
-    ) -> Option<QActivation> {
-        let output = slots.last_mut().and_then(|s| s.take());
-        for slot in slots.iter_mut() {
-            if let Some(a) = slot.take() {
-                arena.recycle(a);
-            }
-        }
-        arena.slots = slots;
-        arena.last_uses = last;
-        output
-    }
-
-    /// Runs the graph reusing a caller-owned arena (amortizes the working
-    /// set across inferences, e.g. over a whole evaluation set).
-    ///
-    /// # Panics
-    ///
-    /// See [`QGraph::run`].
-    pub fn run_with_arena(&self, input: QActivation, arena: &mut ActivationArena) -> GraphRun {
-        let n = self.nodes.len();
-        let (last, mut slots) = self.begin_schedule(input, arena);
-        let mut layers = Vec::with_capacity(n);
-        let mut logits: Option<Vec<i32>> = None;
-        let mut peak_live = 0usize;
-        for (i, node) in self.nodes.iter().enumerate() {
-            assert!(
-                logits.is_none(),
-                "classifier head must be the terminal node (violated at `{}`)",
-                node.name
-            );
-            let mut ops = OpCounts::default();
-            let (out, in_bytes, in_shape) = execute_node(node, &slots, arena, &mut ops);
-            let (out_bytes, out_shape) = match &out {
-                OpOutput::Act(a) => (a.byte_len(), a.shape()),
-                OpOutput::Logits(l) => (4 * l.len(), node.op.output_shape(&[in_shape])),
-            };
-            let live_now: usize =
-                slots.iter().flatten().map(|a| a.byte_len()).sum::<usize>() + out_bytes;
-            peak_live = peak_live.max(live_now);
-            layers.push(LayerRun {
-                name: node.name.clone(),
-                kind: node.op.kind(),
-                choice: node.choice,
-                ops,
-                prepack: node.prepack_ops,
-                in_bytes,
-                out_bytes,
-                out_shape,
-            });
-            match out {
-                OpOutput::Act(a) => slots[i + 1] = Some(a),
-                OpOutput::Logits(l) => logits = Some(l),
-            }
-            retire_dead(node, i, &last, &mut slots, arena);
-        }
-        let output = QGraph::end_schedule(arena, last, slots);
+        let mut layers = Vec::with_capacity(self.nodes.len());
+        let mut logits = Vec::new();
+        let mut ops = OpCounts::default();
+        let (output, peak_live_bytes) = self.walk(
+            input,
+            &mut ActivationArena::new(),
+            &mut logits,
+            &mut ops,
+            Some(&mut layers),
+        );
         GraphRun {
+            logits: output.is_none().then_some(logits),
             output,
-            logits,
             layers,
-            peak_live_bytes: peak_live,
+            peak_live_bytes,
         }
     }
 
@@ -1373,7 +1276,8 @@ impl QGraph {
     /// accumulating the op ledger into `ops`, drawing every buffer from
     /// `arena`. After one warm-up run over a given graph, subsequent calls
     /// perform no heap allocation (asserted by the `allocation_free`
-    /// integration test).
+    /// integration test). It is the same schedule loop as
+    /// [`QGraph::run`], without the per-layer ledger.
     ///
     /// One walk computes a whole batch: `input` carries the batch in its
     /// shape's `n` dimension (N stacked NHWC items); every kernel sweeps
@@ -1399,75 +1303,121 @@ impl QGraph {
         logits_out: &mut Vec<i32>,
         ops: &mut OpCounts,
     ) {
-        let (last, mut slots) = self.begin_schedule(input, arena);
-        let mut have_logits = false;
+        let (output, _) = self.walk(input, arena, logits_out, ops, None);
+        assert!(output.is_none(), "graph does not end in a classifier head");
+    }
+
+    /// The schedule loop behind [`QGraph::run`] and [`QGraph::infer_pooled`]:
+    /// runs the nodes in order, the classifier head into `logits` and every
+    /// other node into its tensor slot, and recycles each tensor into
+    /// `arena` at its last use. Charges each node's work to `ops` and, when
+    /// `ledger` is given, appends its [`LayerRun`]. Returns the terminal
+    /// activation (`None` when the graph ends in the head) and the measured
+    /// high-water mark of live activation bytes.
+    fn walk(
+        &self,
+        input: QActivation,
+        arena: &mut ActivationArena,
+        logits: &mut Vec<i32>,
+        ops: &mut OpCounts,
+        mut ledger: Option<&mut Vec<LayerRun>>,
+    ) -> (Option<QActivation>, usize) {
+        let n = self.nodes.len();
+        let mut last = mem::take(&mut arena.last_uses);
+        self.last_uses_into(&mut last);
+        let mut slots = mem::take(&mut arena.slots);
+        slots.clear();
+        slots.resize_with(n + 1, || None);
+        // Bytes held in `slots`; the peak adds each node's output while its
+        // inputs are still live.
+        let mut live = input.byte_len();
+        let mut peak = 0;
+        slots[0] = Some(input);
+        let mut head_done = false;
         for (i, node) in self.nodes.iter().enumerate() {
             assert!(
-                !have_logits,
+                !head_done,
                 "classifier head must be the terminal node (violated at `{}`)",
                 node.name
             );
-            if let AnyOp::Linear(lin) = &node.op {
-                let x = expect_act(&slots, node.inputs[0], node.name());
-                lin.execute_into_with(
-                    node.cache.as_ref().and_then(PrepackedWeights::codes),
-                    x,
-                    logits_out,
-                    ops,
-                );
-                have_logits = true;
-            } else {
-                let (out, _, _) = execute_node(node, &slots, arena, ops);
-                match out {
-                    OpOutput::Act(a) => slots[i + 1] = Some(a),
-                    OpOutput::Logits(_) => unreachable!("heads are matched above"),
+            let mut node_ops = OpCounts::default();
+            let (out, in_bytes, out_shape) = {
+                let input = |t: usize| {
+                    slots[t].as_ref().unwrap_or_else(|| {
+                        panic!(
+                            "node `{}` consumes tensor {t}, which is not a live activation",
+                            node.name
+                        )
+                    })
+                };
+                let x = input(node.inputs[0]);
+                let pair = [x, node.inputs.get(1).map_or(x, |&t| input(t))];
+                let ins = &pair[..node.inputs.len()];
+                let in_bytes = ins.iter().map(|a| a.byte_len()).sum::<usize>();
+                match &node.op {
+                    AnyOp::Linear(head) => {
+                        head.execute_into_with(
+                            node.cache.as_ref().and_then(PrepackedWeights::codes),
+                            x,
+                            logits,
+                            &mut node_ops,
+                        );
+                        (None, in_bytes, node.op.output_shape(&[x.shape()]))
+                    }
+                    op => match op.execute_kernel(
+                        node.choice,
+                        node.cache.as_ref(),
+                        ins,
+                        arena,
+                        &mut node_ops,
+                    ) {
+                        OpOutput::Act(a) => {
+                            let shape = a.shape();
+                            (Some(a), in_bytes, shape)
+                        }
+                        OpOutput::Logits(_) => unreachable!("only the head yields logits"),
+                    },
+                }
+            };
+            let out_bytes = out.as_ref().map_or(4 * logits.len(), QActivation::byte_len);
+            peak = peak.max(live + out_bytes);
+            if let Some(layers) = ledger.as_deref_mut() {
+                layers.push(LayerRun {
+                    name: node.name.clone(),
+                    kind: node.op.kind(),
+                    choice: node.choice,
+                    ops: node_ops,
+                    prepack: node.prepack_ops,
+                    in_bytes,
+                    out_bytes,
+                    out_shape,
+                });
+            }
+            *ops += node_ops;
+            match out {
+                Some(a) => {
+                    live += out_bytes;
+                    slots[i + 1] = Some(a);
+                }
+                None => head_done = true,
+            }
+            // Recycle every tensor whose last consumer was this node,
+            // including its own output when nothing ever reads it.
+            for &t in node.inputs.iter().chain([i + 1].iter()) {
+                if last[t] == i {
+                    if let Some(a) = slots[t].take() {
+                        live -= a.byte_len();
+                        arena.recycle(a);
+                    }
                 }
             }
-            retire_dead(node, i, &last, &mut slots, arena);
         }
-        if let Some(a) = QGraph::end_schedule(arena, last, slots) {
-            arena.recycle(a); // head-terminated graphs leave no activation
-        }
-        assert!(have_logits, "graph does not end in a classifier head");
-    }
-}
-
-fn expect_act<'s>(slots: &'s [Option<QActivation>], t: usize, consumer: &str) -> &'s QActivation {
-    slots[t].as_ref().unwrap_or_else(|| {
-        panic!("node `{consumer}` consumes tensor {t}, which is not a live activation")
-    })
-}
-
-/// Executes one node against the live tensor slots, returning the output,
-/// the summed input bytes and the first input's shape.
-fn execute_node(
-    node: &GraphNode,
-    slots: &[Option<QActivation>],
-    arena: &mut ActivationArena,
-    ops: &mut OpCounts,
-) -> (OpOutput, usize, Shape) {
-    let cache = node.cache.as_ref();
-    match *node.inputs.as_slice() {
-        [a] => {
-            let xa = expect_act(slots, a, node.name());
-            (
-                node.op
-                    .execute_kernel(node.choice, cache, &[xa], arena, ops),
-                xa.byte_len(),
-                xa.shape(),
-            )
-        }
-        [a, b] => {
-            let xa = expect_act(slots, a, node.name());
-            let xb = expect_act(slots, b, node.name());
-            (
-                node.op
-                    .execute_kernel(node.choice, cache, &[xa, xb], arena, ops),
-                xa.byte_len() + xb.byte_len(),
-                xa.shape(),
-            )
-        }
-        _ => unreachable!("arity is validated by push_node"),
+        // Every other tensor died at its last use; only the terminal one
+        // is left (none when the head wrote logits).
+        let output = slots[n].take();
+        arena.slots = slots;
+        arena.last_uses = last;
+        (output, peak)
     }
 }
 
@@ -1486,29 +1436,6 @@ fn resolve_choice(
         backend.name()
     );
     choice
-}
-
-/// Recycles every tensor whose last consumer was node `i` (including the
-/// node's own output when nothing ever reads it).
-fn retire_dead(
-    node: &GraphNode,
-    i: usize,
-    last: &[usize],
-    slots: &mut [Option<QActivation>],
-    arena: &mut ActivationArena,
-) {
-    for &t in &node.inputs {
-        if last[t] == i {
-            if let Some(a) = slots[t].take() {
-                arena.recycle(a);
-            }
-        }
-    }
-    if last[i + 1] == i {
-        if let Some(a) = slots[i + 1].take() {
-            arena.recycle(a);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1608,16 +1535,30 @@ mod tests {
         graph.push("dw", depthwise(3, 1));
         graph.push("pw", pointwise(3, 3, 2));
         let shape = Shape::feature_map(4, 4, 3);
-        let codes: Vec<u8> = (0..shape.volume()).map(|i| (i % 7) as u8).collect();
-        let x = QActivation::from_codes(shape, &codes, BitWidth::W8, 0);
-        let mut arena = ActivationArena::with_capacity(shape.volume());
-        let a = graph.run_with_arena(x.clone(), &mut arena);
-        let b = graph.run_with_arena(x.clone(), &mut arena);
-        let c = graph.run(x);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        assert!(arena.capacity_bytes() >= shape.volume());
-        assert!(arena.pooled_buffers() > 0, "dead tensors were recycled");
+        let weights: Vec<u8> = (0..2 * shape.volume()).map(|i| (i % 5) as u8).collect();
+        let head = QLinear::new(
+            QConvWeights::new(
+                Shape::new(2, 1, 1, shape.volume()),
+                false,
+                &weights,
+                BitWidth::W8,
+                WeightOffset::PerLayer(0),
+            ),
+            vec![1, -1],
+            None,
+        );
+        graph.push("fc", head);
+        let mut arena = ActivationArena::new();
+        let mut logits = Vec::new();
+        for seed in [7, 3, 7] {
+            let codes: Vec<u8> = (0..shape.volume()).map(|i| (i % seed) as u8).collect();
+            let x = QActivation::from_codes(shape, &codes, BitWidth::W8, 0);
+            let fresh = graph.run(x.clone());
+            let mut ops = OpCounts::default();
+            graph.infer_pooled(x, &mut arena, &mut logits, &mut ops);
+            assert_eq!(Some(&logits), fresh.logits.as_ref(), "input {seed}");
+            assert_eq!(ops, fresh.total_ops(), "input {seed}");
+        }
     }
 
     #[test]
@@ -1909,6 +1850,16 @@ mod tests {
         graph.push("pool", QAvgPool);
         let x = QActivation::from_codes(Shape::new(1, 1, 1, 3), &[1, 2, 3], BitWidth::W8, 0);
         let _ = graph.run(x);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not end in a classifier head")]
+    fn pooled_inference_requires_a_head() {
+        let mut graph = QGraph::new();
+        graph.push("pool", QAvgPool);
+        let x = QActivation::from_codes(Shape::feature_map(1, 1, 2), &[1, 2], BitWidth::W8, 0);
+        let mut ops = OpCounts::default();
+        graph.infer_pooled(x, &mut ActivationArena::new(), &mut Vec::new(), &mut ops);
     }
 
     #[test]

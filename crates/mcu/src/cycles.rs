@@ -22,6 +22,17 @@ use mixq_quant::BitWidth;
 ///   end-to-end overhead for PC quantization;
 /// * one fixed-point multiply+shift+saturate per output for ICN
 ///   requantization, or `Q` binary-search comparisons for thresholds.
+///
+/// The Cortex-M7 is a single-issue scalar core for these integer kernels
+/// (`SMLAD`'s dual 16-bit MAC is already folded into the per-MAC rates).
+/// Host SIMD levels and batch-sharding worker counts never feed this
+/// model, so modeled cycles are invariant under every `MIXQ_FORCE_SCALAR`
+/// setting and worker count. That invariance extends to the vectorized
+/// requantization epilogue and SIMD sub-byte pack/unpack
+/// (`mixq_kernels::simd::requant`, `mixq_quant::packing`): those kernels
+/// charge the abstract per-element ledger — `requants`, `threshold_cmps`,
+/// `unpacks` — exactly as the scalar reference does, so the modeled MCU
+/// cost never sees how the host computed the codes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CortexM7CycleModel {
     /// Cycles per MAC, standard/pointwise convolution (8-bit operands,
@@ -49,21 +60,6 @@ pub struct CortexM7CycleModel {
     pub act_store_cycles: f64,
     /// Fixed per-layer scheduling overhead.
     pub layer_overhead: u64,
-    /// MAC lanes retired per issue slot. The Cortex-M7 is a
-    /// **single-issue scalar** core for these integer kernels (`SMLAD`'s
-    /// dual 16-bit MAC is already folded into the per-MAC rates), so the
-    /// default is `1.0` — an *exact* identity on the MAC term, not an
-    /// approximation. Raise it only to model a hypothetical SIMD MCU
-    /// (e.g. Helium/M55); host-side SIMD levels and batch-sharding
-    /// workers never feed into this model, so modeled cycles are invariant
-    /// under every `MIXQ_FORCE_SCALAR` setting and worker count. That
-    /// invariance extends
-    /// to the vectorized requantization epilogue and SIMD sub-byte
-    /// pack/unpack (`mixq_kernels::simd::requant`, `mixq_quant::packing`):
-    /// those kernels charge the abstract per-element ledger — `requants`,
-    /// `threshold_cmps`, `unpacks` — exactly as the scalar reference does,
-    /// so the modeled MCU cost never sees how the host computed the codes.
-    pub simd_lanes: f64,
 }
 
 impl Default for CortexM7CycleModel {
@@ -80,7 +76,6 @@ impl Default for CortexM7CycleModel {
             threshold_cmp_cycles: 3.0,
             act_store_cycles: 0.5,
             layer_overhead: 1500,
-            simd_lanes: 1.0,
         }
     }
 }
@@ -129,7 +124,7 @@ impl CortexM7CycleModel {
             LayerKind::DepthwiseConv => self.dw_cycles_per_mac,
             LayerKind::Linear => self.fc_cycles_per_mac,
         };
-        let mut cycles = macs * per_mac / self.simd_lanes;
+        let mut cycles = macs * per_mac;
         // Sub-byte operand unpacking in the inner loop.
         let mut unpacked_operands = 0.0;
         if weight_bits != BitWidth::W8 {
@@ -226,7 +221,7 @@ impl CortexM7CycleModel {
             (OpKind::DepthwiseConv, _) => self.dw_cycles_per_mac,
             (OpKind::Linear, _) => self.fc_cycles_per_mac,
         };
-        (ops.macs as f64 * per_mac / self.simd_lanes
+        (ops.macs as f64 * per_mac
             + ops.unpacks as f64 * self.unpack_cycles
             + ops.offset_subs as f64 * self.pc_offset_cycles
             + ops.requants as f64 * self.requant_cycles
@@ -305,7 +300,7 @@ impl CortexM7CycleModel {
     /// so it uses a blended MAC rate).
     pub fn cycles_from_counts(&self, ops: &OpCounts) -> u64 {
         let blended_mac = (self.conv_cycles_per_mac + self.dw_cycles_per_mac) / 3.0;
-        (ops.macs as f64 * blended_mac / self.simd_lanes
+        (ops.macs as f64 * blended_mac
             + ops.unpacks as f64 * self.unpack_cycles
             + ops.offset_subs as f64 * self.pc_offset_cycles
             + ops.requants as f64 * self.requant_cycles

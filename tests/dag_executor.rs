@@ -9,7 +9,10 @@ use mixq::core::convert::{convert, scheme_granularity, IntNetwork};
 use mixq::core::memory::QuantScheme;
 use mixq::core::pipeline::prediction_agreement;
 use mixq::data::{Dataset, DatasetSpec, SyntheticKind};
-use mixq::kernels::{AnyOp, OpKind, QOp, TiledBackend};
+use mixq::kernels::{
+    ActivationArena, AnyOp, KernelChoice, OpCounts, OpKind, OpOutput, QActivation, QOp,
+    TiledBackend,
+};
 use mixq::mcu::CortexM7CycleModel;
 use mixq::models::micro::mobilenet_like_residual;
 use mixq::nn::qat::{BlockSpec, MicroCnnSpec, QatNetwork};
@@ -176,6 +179,90 @@ fn mobilenet_like_residual_runs_integer_inference_end_to_end() {
         .map(|n| QOp::flash_bytes(n.op()))
         .sum();
     assert_eq!(int_net.flash_bytes(), node_sum);
+}
+
+/// Replaying a converted residual MobileNet node by node through the
+/// public per-node entry point — `QOp::execute_kernel` on each node's
+/// resolved choice and prepacked weights, recycling every tensor at its
+/// last use, as perfbench's traced walk does — reproduces `QGraph::run`:
+/// the logits, and each node's ledger and activation bytes, on both
+/// backends at batch 1 and 4. The library's own loop runs the classifier
+/// head through `QLinear::execute_into_with`, so this is what keeps the
+/// head's `execute_kernel` under test.
+#[test]
+fn node_by_node_replay_matches_run() {
+    let spec = mobilenet_like_residual(32, 2, 8, 3);
+    let ds = DatasetSpec::new(SyntheticKind::Bars, 32, 32, 2, 3)
+        .with_samples(4)
+        .generate(77);
+    let mut net = QatNetwork::build(&spec, 99);
+    // 4-bit weights everywhere and a 4-bit stem output, so the replay
+    // crosses sub-byte unpacking and a depthwise node on a 4-bit input.
+    for i in 0..net.num_blocks() {
+        net.set_weight_bits(i, BitWidth::W4);
+    }
+    net.set_act_bits(0, BitWidth::W4);
+    net.calibrate_input(ds.images());
+    net.enable_fake_quant(scheme_granularity(QuantScheme::PerChannelIcn));
+    let reference = convert(&net, QuantScheme::PerChannelIcn).expect("mobilenet converts");
+    let mut tiled = reference.clone();
+    tiled.select_backend(&TiledBackend::default());
+    assert!(tiled.kernel_choices().contains(&KernelChoice::BlockedGemm));
+
+    for (backend, int_net) in [("reference", &reference), ("tiled", &tiled)] {
+        let graph = int_net.graph();
+        let last = graph.last_uses();
+        for batch in [1, 4] {
+            let mut arena = ActivationArena::new();
+            let x = int_net.quantize_input_items_pooled(ds.images(), 0, batch, &mut arena);
+            let run = graph.run(x.clone());
+            assert_eq!(run.layers.len(), graph.len());
+            let mut slots: Vec<Option<QActivation>> = vec![None; graph.len() + 1];
+            slots[0] = Some(x);
+            let mut logits = None;
+            for (i, (node, layer)) in graph.nodes().iter().zip(&run.layers).enumerate() {
+                let at = format!("{backend} batch {batch} node `{}`", node.name());
+                let ins: Vec<&QActivation> = node
+                    .inputs()
+                    .iter()
+                    .map(|&t| slots[t].as_ref().expect("live until its last use"))
+                    .collect();
+                let in_bytes: usize = ins.iter().map(|a| a.byte_len()).sum();
+                let mut ops = OpCounts::default();
+                let out = node.op().execute_kernel(
+                    node.choice(),
+                    node.prepacked(),
+                    &ins,
+                    &mut arena,
+                    &mut ops,
+                );
+                let out_bytes = match out {
+                    OpOutput::Act(a) => {
+                        let bytes = a.byte_len();
+                        slots[i + 1] = Some(a);
+                        bytes
+                    }
+                    OpOutput::Logits(l) => {
+                        let bytes = 4 * l.len();
+                        logits = Some(l);
+                        bytes
+                    }
+                };
+                assert_eq!(ops, layer.ops, "{at} ops");
+                assert_eq!(in_bytes, layer.in_bytes, "{at} in_bytes");
+                assert_eq!(out_bytes, layer.out_bytes, "{at} out_bytes");
+                for &t in node.inputs().iter().chain([i + 1].iter()) {
+                    if last[t] == i {
+                        if let Some(a) = slots[t].take() {
+                            arena.recycle(a);
+                        }
+                    }
+                }
+            }
+            assert!(logits.is_some(), "{backend} batch {batch}: the head ran");
+            assert_eq!(logits, run.logits, "{backend} batch {batch} logits");
+        }
+    }
 }
 
 /// The batch-sharded evaluator must reproduce the sequential accuracy and

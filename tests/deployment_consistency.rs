@@ -94,42 +94,44 @@ fn blocked_path_matches_direct_on_converted_network() {
 
 #[test]
 fn exported_header_accounts_for_flash_bytes() {
-    let (_, int_net, _) = trained(QuantScheme::PerChannelIcn, BitWidth::W4);
-    let header = emit_c_header(&int_net, "consistency");
-    // Parse the declared array lengths back out of the header and compare
-    // byte totals with flash_bytes().
-    let mut total = 0usize;
-    for line in header.lines() {
-        let Some(rest) = line.strip_prefix("static const ") else {
-            continue;
-        };
-        let elem_bytes = if rest.starts_with("uint8_t") || rest.starts_with("int8_t") {
-            1
-        } else if rest.starts_with("int16_t") || rest.starts_with("uint16_t") {
-            2
-        } else if rest.starts_with("int32_t") {
-            4
-        } else {
-            continue;
-        };
-        if let Some(open) = rest.find('[') {
-            let close = rest[open..].find(']').map(|c| open + c);
-            if let Some(close) = close {
-                let n: usize = rest[open + 1..close].parse().unwrap_or(0);
-                total += n * elem_bytes;
+    for scheme in QuantScheme::ALL {
+        let (_, int_net, _) = trained(scheme, BitWidth::W4);
+        let header = emit_c_header(&int_net, "consistency");
+        // Parse the declared array lengths back out of the header and
+        // compare byte totals with flash_bytes().
+        let mut total = 0usize;
+        for line in header.lines() {
+            let Some(rest) = line.strip_prefix("static const ") else {
+                continue;
+            };
+            let elem_bytes = if rest.starts_with("uint8_t") || rest.starts_with("int8_t") {
+                1
+            } else if rest.starts_with("int16_t") || rest.starts_with("uint16_t") {
+                2
+            } else if rest.starts_with("int32_t") {
+                4
+            } else {
+                continue;
+            };
+            if let Some(open) = rest.find('[') {
+                let close = rest[open..].find(']').map(|c| open + c);
+                if let Some(close) = close {
+                    let n: usize = rest[open + 1..close].parse().unwrap_or(0);
+                    total += n * elem_bytes;
+                }
+            } else if rest.contains('=') {
+                // Scalar declaration.
+                total += elem_bytes;
             }
-        } else if rest.contains('=') {
-            // Scalar declaration.
-            total += elem_bytes;
         }
+        // Counts such as thresholds per channel are `#define`s, so every
+        // `static const` is an accounted parameter.
+        assert_eq!(
+            total,
+            int_net.flash_bytes(),
+            "{scheme}: header arrays must account for exactly the flash footprint"
+        );
     }
-    // The header also emits the scalar thr_per_ch helper for thresholds
-    // (absent here) and nothing else beyond the accounted parameters.
-    assert_eq!(
-        total,
-        int_net.flash_bytes(),
-        "header arrays must account for exactly the flash footprint"
-    );
 }
 
 #[test]
@@ -233,9 +235,7 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
     // The Cortex-M7 cycle model prices the *abstract* ledger (MACs,
     // unpacks, requants...), never the host dataflow — so the modeled
     // deployment latency of one walk must come out identical whether the
-    // host ran forced-scalar or any auto-detected SIMD level. `simd_lanes`
-    // stays at its default 1.0 (single-issue scalar MCU), an exact
-    // identity on the MAC term.
+    // host ran forced-scalar or any auto-detected SIMD level.
     use mixq::core::convert::convert_with_backend;
     use mixq::kernels::{simd, ActivationArena, SimdLevel, TiledBackend};
     use mixq::mcu::CortexM7CycleModel;
@@ -262,7 +262,6 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
     };
 
     let model = CortexM7CycleModel::default();
-    assert_eq!(model.simd_lanes, 1.0, "MCU model defaults to scalar issue");
     let (base_logits, base_ops) = walk(Some(SimdLevel::Scalar));
     let base_cycles = model.cycles_from_counts(&base_ops);
     assert!(base_cycles > 0);
@@ -286,22 +285,4 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
             "{forced:?} modeled cycles"
         );
     }
-    // A hypothetical vector MCU (`simd_lanes` > 1) scales only the MAC
-    // term; everything else in the estimate is untouched.
-    let vector_mcu = CortexM7CycleModel {
-        simd_lanes: 2.0,
-        ..CortexM7CycleModel::default()
-    };
-    let zero_mac = OpCounts {
-        macs: 0,
-        ..base_ops
-    };
-    let non_mac = model.cycles_from_counts(&zero_mac);
-    assert_eq!(vector_mcu.cycles_from_counts(&zero_mac), non_mac);
-    let halved = vector_mcu.cycles_from_counts(&base_ops) - non_mac;
-    let full = base_cycles - non_mac;
-    assert!(
-        (halved as i64 - (full / 2) as i64).abs() <= 1,
-        "two lanes halve the MAC term: {halved} vs {full}/2"
-    );
 }

@@ -130,10 +130,15 @@ fn accounting_routes_through_the_graph() {
 fn arena_reuse_matches_fresh_runs_across_a_dataset() {
     let (int_net, ds) = trained_separable(QuantScheme::PerChannelIcn, BitWidth::W8);
     let mut arena = ActivationArena::new();
+    let mut logits = Vec::new();
     for i in 0..6 {
         let x = int_net.quantize_input(&ds.sample(i).images);
         let fresh = int_net.graph().run(x.clone());
-        let reused = int_net.graph().run_with_arena(x, &mut arena);
-        assert_eq!(fresh, reused, "sample {i}");
+        let mut ops = OpCounts::default();
+        int_net
+            .graph()
+            .infer_pooled(x, &mut arena, &mut logits, &mut ops);
+        assert_eq!(Some(&logits), fresh.logits.as_ref(), "sample {i}");
+        assert_eq!(ops, fresh.total_ops(), "sample {i}");
     }
 }
