@@ -19,9 +19,9 @@ use std::ops::Range;
 
 use mixq_data::Dataset;
 use mixq_kernels::{
-    ActivationArena, AnyOp, Backend, GraphRun, KernelChoice, OpCounts, QActivation, QAdd, QAvgPool,
-    QConv2d, QConvWeights, QGraph, QLinear, ReferenceBackend, Requantizer, ThresholdChannel,
-    WeightOffset,
+    simd, ActivationArena, AnyOp, Backend, GraphRun, KernelChoice, OpCounts, QActivation, QAdd,
+    QAvgPool, QConv2d, QConvWeights, QGraph, QLinear, ReferenceBackend, Requantizer,
+    ThresholdChannel, WeightOffset,
 };
 use mixq_nn::qat::{ConvBlock, QatMode, QatNetwork};
 use mixq_nn::ConvKind;
@@ -221,7 +221,9 @@ impl IntNetwork {
     /// `arena` — together with
     /// [`QGraph::infer_pooled`](mixq_kernels::QGraph::infer_pooled), the
     /// allocation-free steady-state inference path. Every input
-    /// quantization of the network runs through it.
+    /// quantization of the network runs through it, on
+    /// [`simd::quantize::quantize_codes`] at the active SIMD level
+    /// (bit-identical to [`QuantParams::quantize`] at every level).
     ///
     /// # Panics
     ///
@@ -244,10 +246,12 @@ impl IntNetwork {
         let item = self.input_shape.volume();
         let mut codes = arena.take_scratch();
         codes.clear();
-        codes.extend(
-            images.data()[start * item..(start + count) * item]
-                .iter()
-                .map(|&v| self.input_quant.quantize(v) as u8),
+        codes.resize(count * item, 0);
+        simd::quantize::quantize_codes(
+            simd::active_level(),
+            &self.input_quant,
+            &images.data()[start * item..(start + count) * item],
+            &mut codes,
         );
         let act = QActivation::from_codes_in(
             self.input_shape.with_batch(count),

@@ -8,15 +8,16 @@
 //!
 //! * [`KernelChoice`] — the closed set of kernel implementations a node can
 //!   resolve to: the direct loop, the scalar oracle, and the
-//!   register-blocked GEMM, the one fast path for dense convolutions;
+//!   register-blocked GEMM, the one fast path for dense convolutions and
+//!   the classifier head;
 //! * [`Backend`] — the selection policy: given a node's op, input shapes
 //!   and bit-widths, pick a choice at **graph build time**;
 //! * [`ReferenceBackend`] — direct kernels everywhere (bit-identical to the
 //!   pre-backend executor);
 //! * [`TiledBackend`] — a cost-driven policy that lowers standard
-//!   convolutions onto the register-blocked, cache-tiled GEMM whenever its
-//!   modeled cycle cost beats the direct loop (and the im2col scratch fits
-//!   an optional ceiling).
+//!   convolutions and the classifier head onto the register-blocked,
+//!   cache-tiled GEMM whenever its modeled cycle cost beats the direct loop
+//!   (and the expansion scratch fits an optional ceiling).
 //!
 //! Every choice is **bit-identical in output codes**: backends trade
 //! dataflow (and therefore cycles and scratch RAM), never arithmetic.
@@ -60,7 +61,6 @@ use std::fmt;
 use mixq_quant::BitWidth;
 use mixq_tensor::Shape;
 
-use crate::blocked::im2col_scratch_bytes;
 use crate::graph::{AnyOp, QOp};
 
 /// The concrete kernel implementation a graph node resolved to at build
@@ -70,19 +70,22 @@ use crate::graph::{AnyOp, QOp};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
     /// The direct output-stationary loop, the scalar oracle
-    /// ([`QConv2d::execute`](crate::QConv2d::execute) runs it one-shot),
+    /// ([`QConv2d::execute`](crate::QConv2d::execute) and
+    /// [`QLinear::execute`](crate::QLinear::execute) run it one-shot),
     /// which runs depthwise layers on the depthwise fast core; the only
-    /// implementation for depthwise convolutions, pooling, the classifier
-    /// head and residual adds.
+    /// implementation for depthwise convolutions, pooling and residual
+    /// adds.
     DirectConv,
     /// im2col followed by the register-blocked, cache-tiled GEMM inner
     /// kernel ([`crate::blocked`]), the fast dense path; needs an im2col
     /// scratch buffer unless it borrows the input
     /// ([`QConv2d::blocked_borrows_input`](crate::QConv2d::blocked_borrows_input)).
-    /// Offered only for standard convolutions whose patch length
+    /// Offered for standard convolutions whose patch length
     /// `k = k_h·k_w·c_i` is at most
     /// [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN), which it accumulates in
-    /// one `i32` run.
+    /// one `i32` run, and for the classifier head with at most that many
+    /// input features: the batch items are its GEMV rows, an 8-bit input
+    /// is borrowed and a sub-byte one unpacked into scratch.
     BlockedGemm,
 }
 
@@ -140,32 +143,38 @@ impl Backend for ReferenceBackend {
     }
 }
 
-/// The cost-driven tiled backend: lowers standard convolutions onto the
-/// register-blocked GEMM ([`KernelChoice::BlockedGemm`]) whenever the
-/// modeled cycle cost — per-MAC rate plus the im2col expansion traffic —
-/// beats the direct loop, and the im2col scratch fits
-/// [`TiledBackend::scratch_limit_bytes`]. Every op whose
+/// The cost-driven tiled backend: lowers standard convolutions and the
+/// classifier head onto the register-blocked GEMM
+/// ([`KernelChoice::BlockedGemm`]) whenever the modeled cycle cost —
+/// per-MAC rate plus the expansion traffic — beats the direct loop, and
+/// the expansion scratch fits [`TiledBackend::scratch_limit_bytes`]. The
+/// head is priced as a 1×1 stride-1 convolution over its `(n, 1, 1, c_i)`
+/// input, one GEMM row per batch item. Every op whose
 /// [`QOp::supported_kernels`] leaves the GEMM out stays direct: depthwise
-/// convolutions, patches past [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN),
-/// pooling, the head and residual adds.
+/// convolutions, patches or heads past
+/// [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN), pooling and residual adds.
 ///
 /// The default per-MAC rates mirror `CortexM7CycleModel`'s per-choice
 /// pricing (asserted against the model's defaults in
 /// `tests/backend_kernels.rs`, so tuning one side fails loudly instead of
 /// silently diverging). On top of those rates, selection also prices the
-/// im2col expansion traffic — which the abstract op ledger does not — so
-/// very small output-channel counts stay direct; the pointwise identity
-/// fast path ([`QConv2d::blocked_borrows_input`](crate::QConv2d::blocked_borrows_input))
-/// skips the gather entirely and is priced (and scratch-checked) as free.
+/// expansion traffic — which the abstract op ledger does not — so very
+/// small output-channel counts stay direct. The expansion is the op's
+/// [`QOp::scratch_bytes`] for the GEMM, one copy per byte: the pointwise
+/// identity fast path
+/// ([`QConv2d::blocked_borrows_input`](crate::QConv2d::blocked_borrows_input))
+/// and a head over an 8-bit input borrow their input and are priced (and
+/// scratch-checked) as free.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiledBackend {
     /// Modeled cycles per MAC of the direct dense loop.
     pub direct_mac_cycles: f64,
     /// Modeled cycles per MAC of the blocked GEMM inner kernel.
     pub blocked_mac_cycles: f64,
-    /// Modeled cycles per element copied into the im2col buffer.
+    /// Modeled cycles per element copied into the GEMM's expansion buffer
+    /// (an im2col matrix or a sub-byte unpack).
     pub im2col_cycles_per_elem: f64,
-    /// Optional ceiling on the im2col scratch buffer: a GEMM kernel is
+    /// Optional ceiling on the expansion scratch buffer: a GEMM kernel is
     /// never selected for a node whose expansion would exceed it (deploying
     /// within a RAM budget must bound transient buffers too).
     pub scratch_limit_bytes: Option<usize>,
@@ -183,7 +192,7 @@ impl Default for TiledBackend {
 }
 
 impl TiledBackend {
-    /// A tiled backend that refuses GEMM lowerings whose im2col buffer
+    /// A tiled backend that refuses GEMM lowerings whose expansion buffer
     /// exceeds `bytes` of scratch RAM.
     pub fn with_scratch_limit(mut self, bytes: usize) -> Self {
         self.scratch_limit_bytes = Some(bytes);
@@ -197,38 +206,38 @@ impl Backend for TiledBackend {
     }
 
     fn select(&self, op: &AnyOp, inputs: &[Shape], in_bits: &[BitWidth]) -> KernelChoice {
-        let AnyOp::Conv(conv) = op else {
-            return KernelChoice::DirectConv;
-        };
         if !op.supported_kernels().contains(&KernelChoice::BlockedGemm) {
             return KernelChoice::DirectConv;
         }
-        let input = inputs[0];
-        // The pointwise identity fast path borrows the input zero-copy: no
-        // expansion traffic, no scratch to check against the ceiling.
-        let borrows = conv.blocked_borrows_input(in_bits[0]);
-        if !borrows {
-            if let Some(limit) = self.scratch_limit_bytes {
-                if im2col_scratch_bytes(conv, input) > limit {
-                    return KernelChoice::DirectConv;
-                }
+        // The GEMM's `rows × k` input matrix and its `c_o` channels. The
+        // head is priced as a 1×1 stride-1 convolution over an
+        // `(n, 1, 1, c_i)` map: one row per batch item.
+        let (rows, k, co) = match op {
+            AnyOp::Conv(conv) => {
+                let out = conv.output_shape(inputs[0]);
+                let k = conv.geometry().kernel_area() * inputs[0].c;
+                (out.pixels() * out.n, k, out.c)
             }
+            AnyOp::Linear(head) => (inputs[0].n, head.in_features(), head.out_features()),
+            AnyOp::Pool(_) | AnyOp::Add(_) => return KernelChoice::DirectConv,
+        };
+        // The expansion the GEMM materializes: one code per matrix element,
+        // none when it borrows an 8-bit input zero-copy (the pointwise
+        // identity path, or a head over 8-bit codes). Over the ceiling,
+        // stay direct.
+        let expansion = op.scratch_bytes(KernelChoice::BlockedGemm, inputs, in_bits);
+        if self
+            .scratch_limit_bytes
+            .is_some_and(|limit| expansion > limit)
+        {
+            return KernelChoice::DirectConv;
         }
         // Both dataflows perform the same padded MAC count (rows · k per
-        // output channel); the GEMM path adds one im2col copy per matrix
-        // element unless it borrows. Deterministic shape math — no
-        // measurement involved.
-        let out = conv.output_shape(input);
-        let k = conv.geometry().kernel_area() * input.c;
-        let rows = out.pixels() * out.n;
-        let macs = (rows * k * out.c) as f64;
+        // output channel); the GEMM path adds one copy per expanded
+        // element. Deterministic shape math — no measurement involved.
+        let macs = (rows * k * co) as f64;
         let direct = macs * self.direct_mac_cycles;
-        let expansion = if borrows {
-            0.0
-        } else {
-            (rows * k) as f64 * self.im2col_cycles_per_elem
-        };
-        let gemm = macs * self.blocked_mac_cycles + expansion;
+        let gemm = macs * self.blocked_mac_cycles + expansion as f64 * self.im2col_cycles_per_elem;
         if gemm < direct {
             KernelChoice::BlockedGemm
         } else {
@@ -275,7 +284,7 @@ impl Backend for BackendKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QAdd, QAvgPool, QConv2d, QConvWeights, Requantizer, WeightOffset};
+    use crate::{QAdd, QAvgPool, QConv2d, QConvWeights, QLinear, Requantizer, WeightOffset};
     use mixq_quant::FixedPointMultiplier;
     use mixq_tensor::{ConvGeometry, Padding};
 
@@ -402,6 +411,57 @@ mod tests {
         assert_eq!(
             b.select(&pointwise(4, 1), &[input], &[BitWidth::W4]),
             KernelChoice::DirectConv
+        );
+    }
+
+    fn head(ci: usize, classes: usize) -> AnyOp {
+        AnyOp::Linear(QLinear::new(
+            QConvWeights::new(
+                Shape::new(classes, 1, 1, ci),
+                false,
+                &vec![0; classes * ci],
+                BitWidth::W4,
+                WeightOffset::PerLayer(0),
+            ),
+            vec![0; classes],
+            None,
+        ))
+    }
+
+    #[test]
+    fn tiled_prices_the_head_as_a_pointwise_conv() {
+        // The head over an (n, 1, 1, c_i) feature batch decides exactly as
+        // a 1×1 stride-1 conv over that map: an 8-bit input is borrowed,
+        // a sub-byte one pays its unpack traffic.
+        let b = TiledBackend::default();
+        let feat = Shape::new(8, 1, 1, 4);
+        for classes in [1, 2, 8] {
+            for bits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+                assert_eq!(
+                    b.select(&head(4, classes), &[feat], &[bits]),
+                    b.select(&pointwise(4, classes), &[feat], &[bits]),
+                    "classes={classes} {bits:?}"
+                );
+            }
+        }
+        assert_eq!(
+            b.select(&head(4, 1), &[feat], &[BitWidth::W8]),
+            KernelChoice::BlockedGemm
+        );
+        assert_eq!(
+            b.select(&head(4, 1), &[feat], &[BitWidth::W4]),
+            KernelChoice::DirectConv
+        );
+        // The ceiling vetoes a sub-byte head's 8 × 4-code unpack, never a
+        // borrowed 8-bit input.
+        let tight = TiledBackend::default().with_scratch_limit(31);
+        assert_eq!(
+            tight.select(&head(4, 8), &[feat], &[BitWidth::W4]),
+            KernelChoice::DirectConv
+        );
+        assert_eq!(
+            tight.select(&head(4, 8), &[feat], &[BitWidth::W8]),
+            KernelChoice::BlockedGemm
         );
     }
 

@@ -44,7 +44,12 @@
 //!   `(Bq − Zx·base) − Zw·Σ X` (the first term staged once per call) and
 //!   requantizes eight channels per AVX2 iteration in `i32` lanes; a
 //!   layer whose [`PackedPanels::weight_bound`] plus `max |Bq|` exceeds
-//!   `i32` takes the scalar oracle.
+//!   `i32` takes the scalar oracle;
+//! * **the classifier head on the same GEMV** — as PULP-NN runs its
+//!   linear layers on the matmul core of its convolutions
+//!   (arXiv:2007.07759), the head's batch items are GEMV rows against its
+//!   own panels (`k = c_i`), and a scalar `i64` epilogue adds `Bq` and the
+//!   hoisted corrections per class, exact for any input.
 //!
 //! The abstract [`OpCounts`] ledger prices the padded GEMM: `rows·k·c_o`
 //! MACs for `rows` output pixels (over the batch), patch length
@@ -53,6 +58,7 @@
 //! `c_o`); one `unpack` per MAC for sub-byte weights plus one per load for
 //! a sub-byte input; one `offset_sub` per MAC under per-channel `Zw`; and
 //! the direct loop's requantization, comparison, store and bias counts.
+//! The head charges its direct oracle's ledger unchanged.
 //! The per-choice rates of the Cortex-M7 cycle model express the dataflow
 //! difference, and the host SIMD level never changes modeled cycles.
 
@@ -60,7 +66,7 @@ use mixq_tensor::Shape;
 
 use crate::simd::requant::{GemmTerms, RequantPlan};
 use crate::simd::{self, SimdLevel, MAX_DOT_LEN};
-use crate::{OpCounts, QActivation, QConv2d, Requantizer};
+use crate::{OpCounts, QActivation, QConv2d, QConvWeights, QLinear, Requantizer};
 
 /// The prepacked operand of the blocked GEMM: the layer's decoded u8
 /// weight codes in the pair-interleaved order [`simd::gemv2`] streams,
@@ -98,8 +104,6 @@ pub struct PackedPanels {
     pairs: Vec<u8>,
     /// The odd last column (`tail[co] = w[co][k−1]`); empty if `k` even.
     tail: Vec<u8>,
-    /// Per-channel `Σ W` over the k codes.
-    sumw: Vec<i64>,
     /// Per-channel weight zero-points `Zw`.
     zw: Vec<i64>,
     /// Per-channel `Σ W − k·Zw`: the hoisted correction is
@@ -108,28 +112,30 @@ pub struct PackedPanels {
     /// `255 · max_c Σ_i |w_ci − Zw_c|`: bounds `|Σ (X − Zx)(W − Zw)|` for
     /// any `u8` row (see [`PackedPanels::weight_bound`]).
     bound: i64,
-    /// Patch length `k_h·k_w·c_i` the panels were built for.
+    /// GEMM depth the panels were built for: a convolution's patch length
+    /// `k_h·k_w·c_i`, the head's `c_i`.
     k: usize,
 }
 
 impl PackedPanels {
-    /// Patch length `k_h·k_w·c_i` (GEMM depth).
+    /// GEMM depth: a convolution's patch length `k_h·k_w·c_i`, the head's
+    /// input features `c_i`.
     pub fn k(&self) -> usize {
         self.k
     }
 
     /// Output channels covered.
     pub fn out_channels(&self) -> usize {
-        self.sumw.len()
+        self.base.len()
     }
 
     /// Read-only footprint of the artifact in bytes: the `c_o · k`
-    /// interleaved codes plus the three per-channel `i64` tables.
+    /// interleaved codes plus the two per-channel `i64` tables.
     /// Reported separately from the Table-1 flash model (which prices the
     /// packed codes the panels were derived from) and from Eq. 7 RAM
     /// (activations only).
     pub fn bytes(&self) -> usize {
-        self.pairs.len() + self.tail.len() + 8 * (self.sumw.len() + self.zw.len() + self.base.len())
+        self.pairs.len() + self.tail.len() + 8 * (self.zw.len() + self.base.len())
     }
 
     /// `255 · max_c Σ_i |w_ci − Zw_c|`, a bound on `|Σ (X − Zx)(W − Zw)|`
@@ -151,32 +157,22 @@ impl PackedPanels {
     pub(crate) fn base(&self) -> &[i64] {
         &self.base
     }
-}
 
-impl QConv2d {
-    /// Builds the [`PackedPanels`] prepack artifact for this layer —
-    /// exactly the decode + `Σ W` work the PR-4 kernel performed per
-    /// call, hoisted to build time, plus the pair-interleave reorder the
-    /// channel-vectorized GEMV streams. Sub-byte weights are decoded once
-    /// here.
-    ///
-    /// # Panics
-    ///
-    /// Panics on depthwise layers.
-    pub fn prepack_panels(&self) -> PackedPanels {
-        let weights = self.weights();
-        assert!(
-            !weights.is_depthwise(),
-            "im2col path applies to standard convolutions"
-        );
-        let k = self.geometry().kernel_area() * weights.in_channels();
+    /// Builds the panels for dense weights whose flattened per-channel
+    /// rows are `k` codes long: `k_h·k_w·c_i` for a standard convolution,
+    /// `c_i` for the classifier head. Sub-byte weights are decoded once
+    /// here; the decode, the `Σ W − k·Zw` table and the pair-interleave
+    /// reorder all happen at build time, never per call.
+    pub(crate) fn build(weights: &QConvWeights, k: usize) -> PackedPanels {
         let co_n = weights.out_channels();
         // The flattened (c_o, k_h, k_w, c_i) code order is channel-row-
-        // major; decode once, then interleave into the GEMV panel order.
-        let rows: Vec<u8> = if weights.needs_unpack() {
-            weights.codes()
+        // major: 8-bit codes are read in place, sub-byte ones decoded once.
+        let decoded;
+        let rows: &[u8] = if weights.needs_unpack() {
+            decoded = weights.codes();
+            &decoded
         } else {
-            weights.as_bytes().to_vec()
+            weights.as_bytes()
         };
         // Cold setup path — a hard assert here means the hot row loops
         // below (and `blocked_rows`' pair indexing) never run on
@@ -187,39 +183,63 @@ impl QConv2d {
             "decoded weight rows must be out_channels × k"
         );
         let mut pairs = vec![0u8; (k / 2) * co_n * 2];
-        for p in 0..k / 2 {
-            for co in 0..co_n {
-                pairs[(p * co_n + co) * 2] = rows[co * k + 2 * p];
-                pairs[(p * co_n + co) * 2 + 1] = rows[co * k + 2 * p + 1];
-            }
-        }
-        let tail: Vec<u8> = if k & 1 == 1 {
-            (0..co_n).map(|co| rows[co * k + k - 1]).collect()
-        } else {
-            Vec::new()
-        };
-        let sumw: Vec<i64> = (0..co_n)
-            .map(|co| rows[co * k..(co + 1) * k].iter().map(|&c| c as i64).sum())
-            .collect();
+        let mut tail = vec![0u8; co_n * (k & 1)];
         let zw: Vec<i64> = (0..co_n).map(|co| weights.offset().at(co) as i64).collect();
-        let base: Vec<i64> = (0..co_n).map(|co| sumw[co] - k as i64 * zw[co]).collect();
-        let bound = (0..co_n)
-            .map(|co| {
-                let row = &rows[co * k..(co + 1) * k];
-                255 * row.iter().map(|&w| (w as i64 - zw[co]).abs()).sum::<i64>()
-            })
-            .max()
-            .unwrap_or(0);
+        let mut base = Vec::with_capacity(co_n);
+        let mut bound = 0;
+        // One pass per channel row, in the rows' own order: the row is read
+        // sequentially, and the panel bytes it scatters to stay cached for
+        // the next channels, which write the neighbouring bytes.
+        for co in 0..co_n {
+            let row = &rows[co * k..(co + 1) * k];
+            for (p, pair) in row.chunks_exact(2).enumerate() {
+                let at = (p * co_n + co) * 2;
+                pairs[at..at + 2].copy_from_slice(pair);
+            }
+            if k & 1 == 1 {
+                tail[co] = row[k - 1];
+            }
+            // Σ W and Σ |W − Zw| in i32 lanes, over chunks too short to
+            // overflow them: |w − Zw| ≤ 255 + 2¹⁵ for an i16 `Zw`.
+            let z = zw[co] as i32;
+            let (mut sumw, mut dev) = (0i64, 0i64);
+            for c in row.chunks(1 << 15) {
+                sumw += c.iter().map(|&w| w as i32).sum::<i32>() as i64;
+                dev += c.iter().map(|&w| (w as i32 - z).abs()).sum::<i32>() as i64;
+            }
+            base.push(sumw - k as i64 * zw[co]);
+            bound = bound.max(255 * dev);
+        }
         PackedPanels {
             pairs,
             tail,
-            sumw,
             zw,
             base,
             bound,
             k,
         }
     }
+}
+
+impl QConv2d {
+    /// Builds the [`PackedPanels`] prepack artifact for this layer, with
+    /// the patch length `k = k_h·k_w·c_i` as the GEMM depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics on depthwise layers.
+    pub fn prepack_panels(&self) -> PackedPanels {
+        let weights = self.weights();
+        assert!(
+            !weights.is_depthwise(),
+            "im2col path applies to standard convolutions"
+        );
+        PackedPanels::build(
+            weights,
+            self.geometry().kernel_area() * weights.in_channels(),
+        )
+    }
+
     /// Whether the blocked kernel would borrow the input's packed storage
     /// **zero-copy** instead of materializing an im2col (or linear-unpack)
     /// scratch buffer: a standard 1×1 stride-1 convolution over an 8-bit
@@ -379,7 +399,7 @@ impl QConv2d {
         );
         assert_eq!(panels.k, k, "panels built for a different patch length");
         assert_eq!(
-            panels.sumw.len(),
+            panels.out_channels(),
             co_n,
             "panels built for a different channel count"
         );
@@ -443,6 +463,100 @@ impl QConv2d {
     }
 }
 
+impl QLinear {
+    /// The classifier head on the blocked GEMV, behind
+    /// [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm):
+    /// the batch items are the GEMV rows and [`simd::gemv2`] runs them in
+    /// pairs against the head's [`PackedPanels`] (GEMM depth `k = c_i`),
+    /// so the weights stream once per pair of items instead of once per
+    /// item. Writes the `n · classes` logits into `logits` (cleared in
+    /// place) in row-major `(n, classes)` order. An 8-bit input is
+    /// borrowed from its packed storage and a sub-byte one unpacked once
+    /// into `data_scratch`; `acc_scratch` holds the two rows'
+    /// accumulators.
+    ///
+    /// The epilogue is the oracle's arithmetic, per class in `i64`:
+    /// `Σ X·W + Bq − Zw·Σ X − Zx·base` equals `Bq + Σ (X − Zx)(W − Zw)`
+    /// exactly, so after the same `i32` clamp and optional rescale the
+    /// logits are [`QLinear::execute_into_with`]'s for any input, with no
+    /// overflow gate. The ledger is the oracle's too: `n·c_i·c_o` MACs and
+    /// activation loads, one unpack per MAC for each sub-byte operand, one
+    /// offset subtraction per MAC under per-channel `Zw`, and one bias add,
+    /// store and (with a rescale) requantization per logit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input feature count disagrees, on more than
+    /// [`MAX_DOT_LEN`] input features (the kernel's contract), or if the
+    /// panels were built for another shape.
+    pub(crate) fn execute_blocked_into(
+        &self,
+        panels: &PackedPanels,
+        x: &QActivation,
+        data_scratch: &mut Vec<u8>,
+        acc_scratch: &mut Vec<i32>,
+        logits: &mut Vec<i32>,
+        ops: &mut OpCounts,
+    ) {
+        let k = self.in_features();
+        let co_n = self.out_features();
+        assert_eq!(x.shape().item_volume(), k, "input features");
+        assert!(
+            k <= MAX_DOT_LEN,
+            "{k} input features exceed the blocked GEMM's MAX_DOT_LEN"
+        );
+        assert_eq!(panels.k, k, "panels built for a different input length");
+        assert_eq!(
+            panels.out_channels(),
+            co_n,
+            "panels built for a different class count"
+        );
+        let n = x.shape().n;
+        let data: &[u8] = if x.needs_unpack() {
+            x.codes_into(data_scratch);
+            data_scratch
+        } else {
+            x.as_bytes()
+        };
+        assert_eq!(data.len(), n * k, "staged input matrix must be n × c_i");
+        let zx = x.zero_point() as i64;
+        let (zw, base, bq) = (panels.zw(), panels.base(), self.bq());
+        acc_scratch.clear();
+        acc_scratch.resize(2 * co_n, 0);
+        logits.clear();
+        gemv_rows(
+            simd::active_level(),
+            panels,
+            data,
+            n,
+            acc_scratch,
+            |_, accs, sx| {
+                for (o, &a) in accs.iter().enumerate() {
+                    let logit = a as i64 + bq[o] as i64 - zw[o] * sx - zx * base[o];
+                    let v = logit.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+                    logits.push(match self.rescale() {
+                        Some(mults) => mults[o].apply(v),
+                        None => v,
+                    });
+                }
+            },
+        );
+        let macs = (n * k * co_n) as u64;
+        let outputs = (n * co_n) as u64;
+        ops.macs += macs;
+        ops.act_loads += macs;
+        ops.unpacks += (self.weights().needs_unpack() as u64 + x.needs_unpack() as u64) * macs;
+        if self.weights().offset().is_per_channel() {
+            ops.offset_subs += macs;
+        }
+        ops.bias_adds += outputs;
+        ops.act_stores += outputs;
+        if self.rescale().is_some() {
+            ops.requants += outputs;
+        }
+    }
+}
+
 /// Size in bytes of the im2col scratch buffer for a layer over an input
 /// shape, at the input's bit precision (used by deployments that expand
 /// whole rows).
@@ -471,8 +585,7 @@ fn blocked_rows(
     requants: &mut u64,
     threshold_cmps: &mut u64,
 ) {
-    let k = panels.k;
-    let co_n = panels.sumw.len();
+    let co_n = panels.out_channels();
     // Hot per-block path: these stay `debug_assert` because both lengths
     // and `k ≤ MAX_DOT_LEN` are established on the cold setup path above
     // (the hard asserts in `execute_blocked_prepacked_pooled` and
@@ -486,8 +599,39 @@ fn blocked_rows(
     // prepacked `base` table, so the epilogue stages `Bq − Zx·base` once
     // per call and only `Zw·Σ X` varies by row.
     let (acc, stage) = acc.split_at_mut(2 * co_n);
-    let (acc0, acc1) = acc.split_at_mut(co_n);
     let terms = GemmTerms::stage(plan, panels, zx, stage);
+    gemv_rows(level, panels, data, rows, acc, |r, accs, sx| {
+        // Fused vectorized epilogue: fold the hoisted corrections and
+        // requantize in-vector (bit-identical to the per-element
+        // `Requantizer::apply` loop, same ledger totals).
+        simd::requant::apply_gemm_row(
+            requant,
+            level,
+            &terms,
+            accs,
+            sx,
+            &mut out[r * co_n..(r + 1) * co_n],
+            requants,
+            threshold_cmps,
+        );
+    });
+}
+
+/// The dual-row GEMV sweep shared by the convolution and the head: runs
+/// [`simd::gemv2`] over the `rows` rows of `data` (`panels.k()` codes
+/// each) two at a time, and hands each row's `Σ X·W` accumulators and
+/// its `Σ X` to `epilogue(row, accs, sx)`, in row order. `acc` is the
+/// two rows' `2·c_o` accumulator scratch.
+fn gemv_rows(
+    level: SimdLevel,
+    panels: &PackedPanels,
+    data: &[u8],
+    rows: usize,
+    acc: &mut [i32],
+    mut epilogue: impl FnMut(usize, &[i32], i64),
+) {
+    let k = panels.k;
+    let (acc0, acc1) = acc.split_at_mut(panels.out_channels());
     let mut r = 0;
     while r < rows {
         let pair = r + 1 < rows;
@@ -497,36 +641,12 @@ fn blocked_rows(
         } else {
             x0
         };
-        let sx0 = simd::row_sum(level, x0);
-        let sx1 = if pair { simd::row_sum(level, x1) } else { 0 };
         acc0.fill(0);
         acc1.fill(0);
         simd::gemv2(level, x0, x1, &panels.pairs, &panels.tail, acc0, acc1);
-        // Fused vectorized epilogue: fold the hoisted corrections and
-        // requantize in-vector (bit-identical to the per-element
-        // `Requantizer::apply` loop, same ledger totals).
-        let o0 = r * co_n;
-        simd::requant::apply_gemm_row(
-            requant,
-            level,
-            &terms,
-            acc0,
-            sx0,
-            &mut out[o0..o0 + co_n],
-            requants,
-            threshold_cmps,
-        );
+        epilogue(r, acc0, simd::row_sum(level, x0));
         if pair {
-            simd::requant::apply_gemm_row(
-                requant,
-                level,
-                &terms,
-                acc1,
-                sx1,
-                &mut out[o0 + co_n..o0 + 2 * co_n],
-                requants,
-                threshold_cmps,
-            );
+            epilogue(r + 1, acc1, simd::row_sum(level, x1));
         }
         r += if pair { 2 } else { 1 };
     }
@@ -536,8 +656,8 @@ fn blocked_rows(
 mod tests {
     use super::*;
     use crate::{
-        ActivationArena, AnyOp, Backend, KernelChoice, OpOutput, QConvWeights, QGraph, QOp,
-        TiledBackend, WeightOffset,
+        ActivationArena, AnyOp, Backend, KernelChoice, OpOutput, QGraph, QOp, TiledBackend,
+        WeightOffset,
     };
     use mixq_quant::{BitWidth, FixedPointMultiplier};
     use mixq_tensor::{ConvGeometry, Padding};
@@ -786,6 +906,147 @@ mod tests {
         let k = MAX_DOT_LEN + 1;
         let x = make_input(1, 1, k, BitWidth::W8, 3);
         let _ = blocked(&long_pointwise(k), &x, &mut OpCounts::default());
+    }
+
+    /// A `classes × ci` head with codes from `seed`, a per-layer or
+    /// per-channel (negative) `Zw`, biases `bq` and an optional rescale.
+    fn make_head(
+        classes: usize,
+        ci: usize,
+        wbits: BitWidth,
+        per_channel: bool,
+        bq: i32,
+        rescale: bool,
+    ) -> QLinear {
+        let codes: Vec<u8> = (0..classes * ci)
+            .map(|i| ((i * 37 + 11) % wbits.levels() as usize) as u8)
+            .collect();
+        let offset = if per_channel {
+            WeightOffset::PerChannel((0..classes).map(|c| c as i16 % 7 - 3).collect())
+        } else {
+            WeightOffset::PerLayer(2)
+        };
+        QLinear::new(
+            QConvWeights::new(Shape::new(classes, 1, 1, ci), false, &codes, wbits, offset),
+            (0..classes as i32)
+                .map(|c| bq.saturating_add(c * 5 - 7))
+                .collect(),
+            rescale.then(|| {
+                (0..classes)
+                    .map(|c| FixedPointMultiplier::from_real(0.3 + c as f64 * 0.05))
+                    .collect()
+            }),
+        )
+    }
+
+    /// The ledger of both head kernels in closed form (see
+    /// [`QLinear::execute_blocked_into`]).
+    fn head_ledger(head: &QLinear, x: &QActivation) -> OpCounts {
+        let n = x.shape().n as u64;
+        let (ci, co) = (head.in_features() as u64, head.out_features() as u64);
+        let macs = n * ci * co;
+        OpCounts {
+            macs,
+            act_loads: macs,
+            unpacks: (head.weights().needs_unpack() as u64 + x.needs_unpack() as u64) * macs,
+            offset_subs: head.weights().offset().is_per_channel() as u64 * macs,
+            bias_adds: n * co,
+            act_stores: n * co,
+            requants: head.rescale().is_some() as u64 * n * co,
+            ..OpCounts::default()
+        }
+    }
+
+    /// Runs the head's blocked GEMV through its dispatch point.
+    fn blocked_head(
+        head: &QLinear,
+        cache: Option<&crate::PrepackedWeights>,
+        x: &QActivation,
+    ) -> (Vec<i32>, OpCounts) {
+        let (mut logits, mut ops) = (Vec::new(), OpCounts::default());
+        head.execute_kernel_into(
+            KernelChoice::BlockedGemm,
+            cache,
+            x,
+            &mut ActivationArena::new(),
+            &mut logits,
+            &mut ops,
+        );
+        (logits, ops)
+    }
+
+    #[test]
+    fn blocked_head_matches_the_oracle_and_its_ledger() {
+        // Classes below, at and past one 8-lane vector; odd and even
+        // feature counts; odd and even batches (the single-row tail);
+        // sub-byte operands on either side; biases at the i32 rails, so
+        // the exact i64 epilogue must clamp as the oracle does.
+        for (classes, ci, n, wbits, xbits, per_channel, bq, rescale) in [
+            (3, 4, 1, BitWidth::W4, BitWidth::W8, false, 0, false),
+            (8, 7, 2, BitWidth::W8, BitWidth::W8, true, -50, true),
+            (13, 16, 3, BitWidth::W2, BitWidth::W4, true, 100, false),
+            (40, 9, 5, BitWidth::W4, BitWidth::W2, false, 7, true),
+            (1, 33, 4, BitWidth::W8, BitWidth::W4, true, i32::MAX, false),
+            (11, 64, 2, BitWidth::W8, BitWidth::W8, true, i32::MIN, true),
+        ] {
+            let head = make_head(classes, ci, wbits, per_channel, bq, rescale);
+            let shape = Shape::new(n, 1, 1, ci);
+            let codes: Vec<u8> = (0..shape.volume())
+                .map(|i| ((i * 5 + 1) % xbits.levels() as usize) as u8)
+                .collect();
+            let x = QActivation::from_codes(shape, &codes, xbits, 1);
+            let (mut want, mut od) = (Vec::new(), OpCounts::default());
+            head.execute_into_with(None, &x, &mut want, &mut od);
+            let case = format!("classes={classes} ci={ci} n={n} {wbits:?}/{xbits:?}");
+            assert_eq!(od, head_ledger(&head, &x), "oracle: {case}");
+            if bq == i32::MAX {
+                assert!(want.contains(&i32::MAX), "{case}: must clamp at the rail");
+            }
+            let (cache, _) = head.prepack(KernelChoice::BlockedGemm);
+            assert!(matches!(cache, Some(crate::PrepackedWeights::Panels(_))));
+            for cache in [None, cache.as_ref()] {
+                let (got, ob) = blocked_head(&head, cache, &x);
+                assert_eq!(got, want, "{case}");
+                assert_eq!(ob, od, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn contract_length_head_runs_blocked() {
+        // c_i = MAX_DOT_LEN with all-max codes: the GEMV's i32 lanes hold
+        // 32768·255² exactly, and the i64 epilogue adds the corrections.
+        let ci = MAX_DOT_LEN;
+        let head = QLinear::new(
+            QConvWeights::new(
+                Shape::new(2, 1, 1, ci),
+                false,
+                &vec![255; 2 * ci],
+                BitWidth::W8,
+                WeightOffset::PerChannel(vec![-3, 200]),
+            ),
+            vec![-1000, 1000],
+            None,
+        );
+        assert!(head
+            .supported_kernels()
+            .contains(&KernelChoice::BlockedGemm));
+        let x = QActivation::from_codes(Shape::vector(ci), &vec![255; ci], BitWidth::W8, 0);
+        let (mut want, mut od) = (Vec::new(), OpCounts::default());
+        head.execute_into_with(None, &x, &mut want, &mut od);
+        let (got, ob) = blocked_head(&head, None, &x);
+        assert_eq!(got, want);
+        assert_eq!(ob, od);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DOT_LEN")]
+    fn blocked_head_rejects_past_contract_features() {
+        let ci = MAX_DOT_LEN + 1;
+        let head = make_head(1, ci, BitWidth::W8, false, 0, false);
+        assert_eq!(head.supported_kernels(), &[KernelChoice::DirectConv]);
+        let x = make_input(1, 1, ci, BitWidth::W8, 0);
+        let _ = blocked_head(&head, None, &x);
     }
 
     #[test]

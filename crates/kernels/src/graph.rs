@@ -89,15 +89,13 @@ use crate::{OpCounts, QActivation, QAdd, QAvgPool, QConv2d, QLinear};
 ///
 /// What gets cached follows the resolved [`KernelChoice`]:
 ///
-/// * a [`KernelChoice::BlockedGemm`] convolution caches its interleaved
-///   [`PackedPanels`] (pair-interleaved GEMV weight panels + hoisted
-///   `Σ W`/zero-point tables), so the per-call panel build of the PR-4
-///   kernel disappears;
-/// * a direct convolution — and the classifier head — with
-///   **sub-byte** weights caches the codes decoded to one per byte in
-///   `(c_o, k_h, k_w, c_i)` order, so the inner loop stops mask-and-shift
-///   extracting every operand (8-bit weights already read their packed
-///   bytes directly and cache nothing);
+/// * a [`KernelChoice::BlockedGemm`] convolution or classifier head
+///   caches its interleaved [`PackedPanels`] (pair-interleaved GEMV weight
+///   panels + hoisted zero-point tables), so no call packs panels;
+/// * a direct convolution or head with **sub-byte** weights caches the
+///   codes decoded to one per byte in `(c_o, k_h, k_w, c_i)` order, so the
+///   inner loop stops mask-and-shift extracting every operand (8-bit
+///   weights already read their packed bytes directly and cache nothing);
 /// * pooling and residual adds have no weights and cache nothing.
 ///
 /// The artifact is read-only and weight-derived: deployment rewrites that
@@ -303,7 +301,7 @@ impl QOp for QConv2d {
     }
 
     fn prepack(&self, choice: KernelChoice) -> (Option<PrepackedWeights>, OpCounts) {
-        prepack_conv_weights(self.weights(), choice, || self.prepack_panels())
+        prepack_weights(self.weights(), choice, || self.prepack_panels())
     }
 
     fn execute_kernel(
@@ -434,26 +432,32 @@ impl QOp for QLinear {
         OpKind::Linear
     }
 
+    fn supported_kernels(&self) -> &'static [KernelChoice] {
+        // The blocked GEMV accumulates all `c_i` features in one `i32` run,
+        // as the blocked GEMM does a convolution patch.
+        if self.in_features() > MAX_DOT_LEN {
+            &[KernelChoice::DirectConv]
+        } else {
+            &[KernelChoice::DirectConv, KernelChoice::BlockedGemm]
+        }
+    }
+
     fn prepack(&self, choice: KernelChoice) -> (Option<PrepackedWeights>, OpCounts) {
-        let _ = choice; // the head has a single kernel implementation
-        prepack_decoded_codes(self.weights())
+        prepack_weights(self.weights(), choice, || {
+            PackedPanels::build(self.weights(), self.in_features())
+        })
     }
 
     fn execute_kernel(
         &self,
-        _choice: KernelChoice,
+        choice: KernelChoice,
         cache: Option<&PrepackedWeights>,
         inputs: &[&QActivation],
-        _arena: &mut ActivationArena,
+        arena: &mut ActivationArena,
         ops: &mut OpCounts,
     ) -> OpOutput {
         let mut logits = Vec::with_capacity(inputs[0].shape().n * self.out_features());
-        self.execute_into_with(
-            cache.and_then(PrepackedWeights::codes),
-            inputs[0],
-            &mut logits,
-            ops,
-        );
+        self.execute_kernel_into(choice, cache, inputs[0], arena, &mut logits, ops);
         OpOutput::Logits(logits)
     }
 
@@ -478,6 +482,22 @@ impl QOp for QLinear {
             + 2
             + 4 * self.bq().len()
             + self.rescale().map_or(0, |r| 5 * r.len())
+    }
+
+    fn scratch_bytes(&self, choice: KernelChoice, inputs: &[Shape], in_bits: &[BitWidth]) -> usize {
+        match choice {
+            KernelChoice::DirectConv => 0,
+            // The blocked GEMV borrows an 8-bit input's packed storage, as
+            // the pointwise identity path does, and unpacks a sub-byte one
+            // whole: one code per GEMM row element.
+            KernelChoice::BlockedGemm => {
+                if in_bits[0] == BitWidth::W8 {
+                    0
+                } else {
+                    inputs[0].n * self.in_features()
+                }
+            }
+        }
     }
 }
 
@@ -524,11 +544,11 @@ impl QOp for QAdd {
     }
 }
 
-/// Prepack rule shared by the convolution kernels: a blocked-GEMM node
-/// caches its interleaved panels; any other choice caches the decoded
-/// codes when (and only when) the weights are sub-byte — 8-bit weights
-/// already read their packed bytes directly.
-fn prepack_conv_weights(
+/// Prepack rule shared by the convolutions and the classifier head: a
+/// blocked-GEMM node caches its interleaved panels; a direct node caches
+/// the decoded codes when (and only when) the weights are sub-byte —
+/// 8-bit weights already read their packed bytes directly.
+fn prepack_weights(
     weights: &crate::QConvWeights,
     choice: KernelChoice,
     build_panels: impl FnOnce() -> PackedPanels,
@@ -546,23 +566,17 @@ fn prepack_conv_weights(
             };
             (Some(PrepackedWeights::Panels(build_panels())), ops)
         }
-        _ => prepack_decoded_codes(weights),
+        // One unpack and one store per code, once.
+        KernelChoice::DirectConv if weights.needs_unpack() => {
+            let ops = OpCounts {
+                unpacks: vol,
+                act_stores: vol,
+                ..OpCounts::default()
+            };
+            (Some(PrepackedWeights::Codes(weights.codes())), ops)
+        }
+        KernelChoice::DirectConv => (None, OpCounts::default()),
     }
-}
-
-/// The decoded-code prepack for the direct kernel and the head: only
-/// sub-byte weights gain anything (one unpack + one store per code, once).
-fn prepack_decoded_codes(weights: &crate::QConvWeights) -> (Option<PrepackedWeights>, OpCounts) {
-    if !weights.needs_unpack() {
-        return (None, OpCounts::default());
-    }
-    let vol = weights.shape().volume() as u64;
-    let ops = OpCounts {
-        unpacks: vol,
-        act_stores: vol,
-        ..OpCounts::default()
-    };
-    (Some(PrepackedWeights::Codes(weights.codes())), ops)
 }
 
 /// Closed set of graph node operators.
@@ -1356,9 +1370,11 @@ impl QGraph {
                 let in_bytes = ins.iter().map(|a| a.byte_len()).sum::<usize>();
                 match &node.op {
                     AnyOp::Linear(head) => {
-                        head.execute_into_with(
-                            node.cache.as_ref().and_then(PrepackedWeights::codes),
+                        head.execute_kernel_into(
+                            node.choice,
+                            node.cache.as_ref(),
                             x,
+                            arena,
                             logits,
                             &mut node_ops,
                         );

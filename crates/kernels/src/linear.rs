@@ -1,4 +1,7 @@
-use crate::{OpCounts, QActivation, QConvWeights, Requantizer};
+use crate::{
+    ActivationArena, KernelChoice, OpCounts, PackedPanels, PrepackedWeights, QActivation,
+    QConvWeights, Requantizer,
+};
 use mixq_quant::FixedPointMultiplier;
 
 /// An integer-only fully-connected classifier head.
@@ -7,6 +10,12 @@ use mixq_quant::FixedPointMultiplier;
 /// With per-layer weight quantization the raw accumulators are already
 /// argmax-consistent; with per-channel quantization an ICN-style rescale to
 /// a common scale is applied first (one fixed-point multiply per class).
+///
+/// Two kernels compute the same logits and ledger: the scalar `i64` oracle
+/// [`QLinear::execute_into_with`] ([`KernelChoice::DirectConv`]) and, for
+/// at most [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN) input features, the
+/// blocked GEMV ([`KernelChoice::BlockedGemm`], see [`crate::blocked`]),
+/// which a graph node selects through its backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QLinear {
     weights: QConvWeights,
@@ -78,6 +87,8 @@ impl QLinear {
 
     /// [`QLinear::execute`] writing the logits into a caller-owned buffer
     /// (cleared in place), so steady-state inference reuses its capacity.
+    /// This is the head's scalar oracle, the loop the blocked GEMV is
+    /// checked against.
     /// A batched input `(n, 1, 1, c_i)` yields `n · classes` logits in
     /// row-major `(n, classes)` order — the head sweeps every sample of
     /// the batch in one call.
@@ -165,6 +176,51 @@ impl QLinear {
             }
         }
         ops.act_stores += (batch * co) as u64;
+    }
+
+    /// Runs the head with the given kernel implementation, writing the
+    /// logits into `logits` (cleared in place) — the one dispatch point
+    /// of the graph walk and of [`QOp::execute_kernel`](crate::QOp::execute_kernel).
+    /// [`KernelChoice::DirectConv`] runs the scalar oracle
+    /// [`QLinear::execute_into_with`] against a decoded-code cache;
+    /// [`KernelChoice::BlockedGemm`] runs the blocked GEMV against the
+    /// node's [`PackedPanels`], drawing its scratch from `arena`. A `None`
+    /// cache packs per call (bit-identical, slower). Both choices produce
+    /// the same logits and ledger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input feature count disagrees, or if the cached
+    /// panels were built for another shape.
+    pub(crate) fn execute_kernel_into(
+        &self,
+        choice: KernelChoice,
+        cache: Option<&PrepackedWeights>,
+        x: &QActivation,
+        arena: &mut ActivationArena,
+        logits: &mut Vec<i32>,
+        ops: &mut OpCounts,
+    ) {
+        match choice {
+            KernelChoice::DirectConv => {
+                self.execute_into_with(cache.and_then(PrepackedWeights::codes), x, logits, ops);
+            }
+            KernelChoice::BlockedGemm => {
+                let owned;
+                let panels = match cache.and_then(PrepackedWeights::panels) {
+                    Some(p) => p,
+                    None => {
+                        owned = PackedPanels::build(&self.weights, self.in_features());
+                        &owned
+                    }
+                };
+                let mut aux = arena.take_aux();
+                let mut acc = arena.take_acc();
+                self.execute_blocked_into(panels, x, &mut aux, &mut acc, logits, ops);
+                arena.put_acc(acc);
+                arena.put_aux(aux);
+            }
+        }
     }
 
     /// Predicted class (argmax of the logits).

@@ -51,6 +51,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 pub mod depthwise;
+pub mod quantize;
 pub mod requant;
 
 /// Largest patch length [`gemv2`] accepts per call: every channel's

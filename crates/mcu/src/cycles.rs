@@ -210,8 +210,11 @@ impl CortexM7CycleModel {
     /// class is known, so the right per-MAC rate applies — and the
     /// [`KernelChoice`] picks between the direct and blocked-GEMM rates
     /// for dense convolutions, so a backend's selection and the
-    /// latency model always agree. This is the path the `QGraph` executor's
-    /// per-layer records feed.
+    /// latency model always agree. A [`OpKind::Linear`] head costs
+    /// `fc_cycles_per_mac` whatever its choice: both head kernels charge
+    /// the same ledger, and the MCU runs the head as one dot-product sweep
+    /// either way. This is the path the `QGraph` executor's per-layer
+    /// records feed.
     pub fn kernel_cycles(&self, kind: OpKind, choice: KernelChoice, ops: &OpCounts) -> u64 {
         let per_mac = match (kind, choice) {
             (OpKind::Conv, KernelChoice::BlockedGemm) => self.blocked_gemm_cycles_per_mac,

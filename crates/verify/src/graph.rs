@@ -385,6 +385,7 @@ pub fn verify_graph(label: &str, g: &QGraph, input: Shape, in_bits: BitWidth) ->
             AnyOp::Linear(lin) => verify_linear(
                 node.name(),
                 lin,
+                node.choice(),
                 in_bits_v[0],
                 zp[node.inputs()[0]],
                 &mut violations,
@@ -617,6 +618,7 @@ fn verify_conv(
 fn verify_linear(
     name: &str,
     lin: &QLinear,
+    choice: KernelChoice,
     in_bits: BitWidth,
     zp_in: Option<i64>,
     violations: &mut Vec<Violation>,
@@ -655,15 +657,27 @@ fn verify_linear(
             bound: "i32",
         });
     }
+    // Accumulation stage of the resolved kernel: the blocked GEMV sums
+    // unsigned code products over all `c_i` features in one i32 run (its
+    // epilogue folds the zero-points in i64, as the oracle does); the
+    // direct loop accumulates the logit itself in i64.
+    let acc = match choice {
+        KernelChoice::BlockedGemm => {
+            let (acc, geo) = check_dot_geometry(name, k, k, qx as u32, w.bits().qmax());
+            violations.extend(geo);
+            acc
+        }
+        KernelChoice::DirectConv => hull,
+    };
     NodeCert {
         node: name.to_string(),
         op: "fc",
-        choice: "direct",
+        choice: choice.label(),
         k,
         chunk: k,
-        acc: hull.clamped_i64(),
+        acc: acc.clamped_i64(),
         phi: hull.clamped_i64(),
-        vectorizable: false, // the head is a single scalar dot per class
+        vectorizable: false, // the logit epilogue is a scalar loop per class
         corrections_fit_i32: all_fit,
     }
 }

@@ -280,7 +280,8 @@ pub struct NodeCert {
     pub op: &'static str,
     /// Resolved kernel label.
     pub choice: &'static str,
-    /// Dot length `k` (kernel taps × input channels; 0 where not a dot).
+    /// Dot length `k` (kernel taps × input channels, the head's input
+    /// features; 0 where not a dot).
     pub k: usize,
     /// Longest contiguous run accumulated in one register. It equals `k`
     /// on every certificate the verifier builds: the blocked GEMM runs

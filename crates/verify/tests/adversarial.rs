@@ -8,8 +8,8 @@
 
 use mixq_kernels::simd::{self, SimdLevel, MAX_DOT_LEN};
 use mixq_kernels::{
-    AnyOp, KernelChoice, QAdd, QConv2d, QConvWeights, QGraph, Requantizer, ThresholdChannel,
-    TiledBackend, WeightOffset,
+    AnyOp, KernelChoice, QAdd, QConv2d, QConvWeights, QGraph, QLinear, Requantizer,
+    ThresholdChannel, TiledBackend, WeightOffset,
 };
 use mixq_models::{LayerSpec, NetworkSpec};
 use mixq_quant::{BitWidth, FixedPointMultiplier};
@@ -263,6 +263,51 @@ fn forged_depthwise_gemm_lowering_rejected() {
             v,
             Violation::DotLengthExceedsKernel { node, k: vk, chunk, max }
                 if node == "pw" && *vk == k && *chunk == k && *max == MAX_DOT_LEN
+        )),
+        "{}",
+        report.render()
+    );
+}
+
+#[test]
+fn forged_long_head_gemv_rejected() {
+    let head = |k: usize| {
+        QLinear::new(
+            QConvWeights::new(
+                Shape::new(3, 1, 1, k),
+                false,
+                &vec![1; 3 * k],
+                BitWidth::W8,
+                WeightOffset::PerLayer(0),
+            ),
+            vec![0; 3],
+            None,
+        )
+    };
+    // A head the tiled backend lowers onto the blocked GEMV verifies clean,
+    // certified as the one i32 run over its 8 features.
+    let input = Shape::feature_map(1, 1, 8);
+    let mut g = QGraph::with_input(input, BitWidth::W8);
+    g.push_with("fc", head(8), &TiledBackend::default());
+    assert_eq!(g.kernel_choices(), vec![KernelChoice::BlockedGemm]);
+    let report = verify_graph("honest", &g, input, BitWidth::W8);
+    assert!(report.ok(), "{}", report.render());
+    let cert = &report.nodes[0];
+    assert_eq!((cert.choice, cert.k, cert.chunk), ("blocked_gemm", 8, 8));
+    assert_eq!(cert.acc, (0, 8 * 255 * 255));
+
+    // A head past the GEMV's contract, which `supported_kernels` never
+    // offers the blocked kernel for, swapped into the blocked node: its one
+    // i32 run would exceed MAX_DOT_LEN.
+    let k = MAX_DOT_LEN + 1;
+    *g.nodes_mut()[0].op_mut() = AnyOp::Linear(head(k));
+    let long = Shape::feature_map(1, 1, k);
+    let report = verify_graph("forged-long-head", &g, long, BitWidth::W8);
+    assert!(
+        report.violations.iter().any(|v| matches!(
+            v,
+            Violation::DotLengthExceedsKernel { node, k: vk, chunk, max }
+                if node == "fc" && *vk == k && *chunk == k && *max == MAX_DOT_LEN
         )),
         "{}",
         report.render()

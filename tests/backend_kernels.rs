@@ -109,7 +109,8 @@ fn input_act(shape: Shape) -> QActivation {
 /// Recomputes `peak_scratch_bytes` from each node's actual choice by hand:
 /// blocked-GEMM convs price their im2col expansion, except on the
 /// pointwise identity path over an 8-bit input, which borrows the packed
-/// input zero-copy.
+/// input zero-copy; the blocked head borrows an 8-bit input and unpacks a
+/// sub-byte one, `n·c_i` codes.
 fn manual_peak_scratch(g: &QGraph, input: Shape) -> usize {
     let mut shapes = vec![input];
     let mut bits = vec![BitWidth::W8];
@@ -120,6 +121,9 @@ fn manual_peak_scratch(g: &QGraph, input: Shape) -> usize {
         let expansion = match (node.op(), node.choice()) {
             (AnyOp::Conv(c), KernelChoice::BlockedGemm) if !c.blocked_borrows_input(in_bits[0]) => {
                 im2col_scratch_bytes(c, in_shapes[0])
+            }
+            (AnyOp::Linear(h), KernelChoice::BlockedGemm) if in_bits[0] != BitWidth::W8 => {
+                in_shapes[0].n * h.in_features()
             }
             _ => 0,
         };
@@ -164,7 +168,7 @@ fn cycle_model_agrees_with_selected_kernels_for_both_backends() {
 }
 
 #[test]
-fn tiled_selection_lowers_cycles_on_dense_convs_only() {
+fn tiled_selection_lowers_cycles_on_dense_convs_and_the_head() {
     let input = Shape::feature_map(8, 8, 2);
     let reference = residual_graph(input);
     let mut tiled = residual_graph(input);
@@ -177,7 +181,7 @@ fn tiled_selection_lowers_cycles_on_dense_convs_only() {
             KernelChoice::BlockedGemm, // pointwise
             KernelChoice::DirectConv,  // residual add
             KernelChoice::DirectConv,  // pool
-            KernelChoice::DirectConv,  // head
+            KernelChoice::BlockedGemm, // head: GEMV over an 8-bit input
         ]
     );
     let model = CortexM7CycleModel::default();
@@ -193,11 +197,15 @@ fn tiled_selection_lowers_cycles_on_dense_convs_only() {
         br_tiled[2].cycles,
         br_ref[2].cycles
     );
-    // Single-kernel ops are priced identically under both backends.
+    // Single-kernel ops are priced identically under both backends, and
+    // so is the head: the model prices `Linear` at one rate whatever the
+    // choice, and both kernels charge the same ledger.
     for i in [1usize, 3, 4, 5] {
         assert_eq!(br_ref[i].cycles, br_tiled[i].cycles, "node {i}");
         assert_ne!(run_ref.layers[i].kind, OpKind::Conv);
     }
+    assert_eq!(run_ref.layers[5].ops, run_tiled.layers[5].ops);
+    assert_eq!(run_ref.logits, run_tiled.logits);
 }
 
 #[test]
@@ -242,8 +250,9 @@ fn prepack_caches_follow_the_selected_kernel() {
     let input = Shape::feature_map(8, 8, 2);
     let mut g = residual_graph(input);
     g.select_kernels(&TiledBackend::default());
-    // BlockedGemm convs cache interleaved panels; direct sub-byte ops
-    // (depthwise, head) cache decoded codes; weight-free ops cache nothing.
+    // BlockedGemm convs and the blocked head cache interleaved panels; the
+    // direct sub-byte depthwise caches decoded codes; weight-free ops cache
+    // nothing.
     let caches: Vec<Option<&PrepackedWeights>> = g.nodes().iter().map(|n| n.prepacked()).collect();
     assert!(
         matches!(caches[0], Some(PrepackedWeights::Panels(_))),
@@ -257,8 +266,8 @@ fn prepack_caches_follow_the_selected_kernel() {
     assert!(caches[3].is_none(), "residual add has no weights");
     assert!(caches[4].is_none(), "pool has no weights");
     assert!(
-        matches!(caches[5], Some(PrepackedWeights::Codes(_))),
-        "fc (W4)"
+        matches!(caches[5], Some(PrepackedWeights::Panels(_))),
+        "fc (blocked GEMV)"
     );
     // One-time packing ledgers exist exactly where a cache exists, and the
     // cycle model reports them separately from the steady state.

@@ -34,11 +34,46 @@ fn dw_input(i: usize) -> Option<BitWidth> {
     ][i % 4]
 }
 
+/// The classifier head a proptest index picks: 1, 3, 8, 13 or 40 classes
+/// (below, at and past one 8-channel vector, with remainders), 2-, 4- or
+/// 8-bit weights, a per-layer or per-channel `Zw` (negative values
+/// included), and no rescale or a per-class one.
+fn random_head(ci: usize, variant: usize, seed: u64) -> QLinear {
+    let classes = [1, 3, 8, 13, 40][variant % 5];
+    let wbits = [BitWidth::W2, BitWidth::W4, BitWidth::W8][variant / 5 % 3];
+    let offset = if variant / 15 % 2 == 1 {
+        WeightOffset::PerChannel(
+            (0..classes)
+                .map(|c| (c as i16 * 37 + seed as i16) % 11 - 5)
+                .collect(),
+        )
+    } else {
+        WeightOffset::PerLayer((seed % 7) as u8)
+    };
+    let rescale = (variant / 30 % 2 == 1).then(|| {
+        (0..classes)
+            .map(|c| FixedPointMultiplier::from_real(0.05 + c as f64 * 0.047))
+            .collect()
+    });
+    let codes: Vec<u8> = (0..classes * ci)
+        .map(|i| ((i as u64 * 11 + seed) % wbits.levels() as u64) as u8)
+        .collect();
+    QLinear::new(
+        QConvWeights::new(Shape::new(classes, 1, 1, ci), false, &codes, wbits, offset),
+        (0..classes as i32)
+            .map(|c| (c * 7919 + seed as i32) % 201 - 100)
+            .collect(),
+        rescale,
+    )
+}
+
 /// Deterministic random residual DAG shared by the equivalence proptests:
 /// a `depth`-layer conv stack (optionally capped by an identity skip), an
-/// average pool and a linear head, plus a matching batched input. With
-/// `dw_in`, a 3×3 depthwise layer follows the first conv, which then emits
-/// `dw_in`-bit codes, so the depthwise node reads a 2-, 4- or 8-bit input.
+/// average pool and the [`random_head`] `head`, plus a matching batched
+/// input. Interior activations, and so the head's input, are `abits` wide.
+/// With `dw_in`, a 3×3 depthwise layer follows the first conv, which then
+/// emits `dw_in`-bit codes, so the depthwise node reads a 2-, 4- or 8-bit
+/// input.
 #[allow(clippy::too_many_arguments)]
 fn random_residual_dag(
     depth: usize,
@@ -51,17 +86,21 @@ fn random_residual_dag(
     dw_in: Option<BitWidth>,
     with_skip: bool,
     tiled: bool,
+    head: usize,
     zx: u8,
     seed: u64,
 ) -> (QGraph, QActivation) {
     let input = Shape::feature_map(h, h, ch);
+    // Output zero-points drawn from the seed, so the layers after the
+    // first, and the head, read inputs with nonzero `Zx` too.
+    let zy = |out_bits: BitWidth| (seed % out_bits.levels() as u64) as i32;
     let requant = |out_bits: BitWidth| {
         Requantizer::icn(
             (0..ch).map(|c| c as i32 - 1).collect(),
             (0..ch)
                 .map(|c| FixedPointMultiplier::from_real(0.02 + c as f64 * 0.004))
                 .collect(),
-            0,
+            zy(out_bits),
             out_bits,
         )
     };
@@ -93,41 +132,16 @@ fn random_residual_dag(
             requant(out_bits),
         )
     };
-    let head = QLinear::new(
-        QConvWeights::new(
-            Shape::new(3, 1, 1, ch),
-            false,
-            &(0..3 * ch)
-                .map(|i| ((i as u64 * 11 + seed) % 16) as u8)
-                .collect::<Vec<_>>(),
-            BitWidth::W4,
-            WeightOffset::PerLayer(2),
-        ),
-        vec![1, -2, 3],
-        None,
-    );
     let mut g = QGraph::with_input(input, BitWidth::W8);
-    // Interior activations at the random precision, ending W8.
-    let layers = depth + dw_in.is_some() as usize;
-    let out_bits = |pos: usize| {
-        if pos + 1 == layers {
-            BitWidth::W8
-        } else {
-            abits
-        }
-    };
     let mut id = 0usize;
-    let mut pos = 0usize;
     for l in 0..depth {
         let bits = match dw_in {
             Some(b) if l == 0 => b,
-            _ => out_bits(pos),
+            _ => abits,
         };
         id = g.push_node(format!("c{l}"), layer(l, bits), &[id]);
-        pos += 1;
         if l == 0 && dw_in.is_some() {
-            id = g.push_node("dw", dw_layer(out_bits(pos)), &[id]);
-            pos += 1;
+            id = g.push_node("dw", dw_layer(abits), &[id]);
         }
     }
     if with_skip {
@@ -135,13 +149,13 @@ fn random_residual_dag(
         // (same grid at stride 1 / SAME padding).
         id = g.push_node(
             "res",
-            mixq::kernels::QAdd::from_scales(1.0, 1.0, 1.0, 0, 0, 0, BitWidth::W8),
+            mixq::kernels::QAdd::from_scales(1.0, 1.0, 1.0, zy(abits) as u8, zx, zy(abits), abits),
             &[id, 0],
         );
     }
     let _ = id;
     g.push("pool", mixq::kernels::QAvgPool);
-    g.push("fc", head);
+    g.push("fc", random_head(ch, head, seed));
     if tiled {
         g.select_kernels(&TiledBackend::default());
     }
@@ -227,6 +241,47 @@ proptest! {
         // Nearest rounding: half a step plus float slack.
         prop_assert!(err <= 0.5 * q.scale() * 1.001 + 1e-5,
                      "err {err} step {}", q.scale());
+    }
+
+    #[test]
+    fn vector_quantizer_matches_oracle_at_code_boundaries(
+        mant in 1.0f32..2.0,
+        exp in -100i32..0,
+        z in -20i32..280,
+        bits in bitwidth_strategy(),
+        nearest in any::<bool>(),
+    ) {
+        // Every level of the input quantizer must reproduce
+        // `QuantParams::quantize` exactly, most of all where rounding
+        // decides: x at every code boundary — `(q − Z ± ½)·S` for nearest
+        // rounding, `(q − Z)·S` for floor — and its three f32 neighbours on
+        // each side, plus NaN, ±∞, ±0, subnormals and ±f32::MAX.
+        use mixq::kernels::simd::quantize::quantize_codes;
+        use mixq::quant::RoundingMode;
+        let scale = mant * 2f32.powi(exp);
+        let rounding = if nearest { RoundingMode::Nearest } else { RoundingMode::Floor };
+        let params = QuantParams::from_parts(scale, z, bits, rounding);
+        let mut x = vec![
+            f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0,
+            f32::from_bits(1), f32::from_bits(0x8000_0001), f32::from_bits(0x007f_ffff),
+            -f32::MIN_POSITIVE, f32::MAX, f32::MIN,
+        ];
+        for q in -1..=bits.qmax() as i32 + 1 {
+            for half in [-0.5f32, 0.0, 0.5] {
+                let boundary = ((q - z) as f32 + half) * scale;
+                for d in -3i32..=3 {
+                    x.push(f32::from_bits(boundary.to_bits().wrapping_add_signed(d)));
+                }
+            }
+        }
+        let want: Vec<u8> = x.iter().map(|&v| params.quantize(v) as u8).collect();
+        let mut got = vec![0u8; x.len()];
+        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
+            if level.available() {
+                quantize_codes(level, &params, &x, &mut got);
+                prop_assert_eq!(&got, &want, "{:?} {:?}", level, params);
+            }
+        }
     }
 
     #[test]
@@ -444,6 +499,7 @@ proptest! {
         k in prop_oneof![Just(1usize), Just(3usize)],
         wbits in bitwidth_strategy(),
         abits in bitwidth_strategy(),
+        head in 0usize..60,
         zx in 0u8..4,
         seed in 0u64..1000,
     ) {
@@ -480,22 +536,14 @@ proptest! {
                     (0..ch)
                         .map(|c| FixedPointMultiplier::from_real(0.02 + c as f64 * 0.004))
                         .collect(),
-                    0,
+                    // A nonzero output zero-point reaches the next layer
+                    // and the head as their `Zx`.
+                    (seed % out_bits.levels() as u64) as i32,
                     out_bits,
                 ),
             )
         };
-        let head = QLinear::new(
-            QConvWeights::new(
-                Shape::new(3, 1, 1, ch),
-                false,
-                &(0..3 * ch).map(|i| ((i as u64 * 11 + seed) % 16) as u8).collect::<Vec<_>>(),
-                BitWidth::W4,
-                WeightOffset::PerLayer(2),
-            ),
-            vec![1, -2, 3],
-            None,
-        );
+        let head = random_head(ch, head, seed);
         let build = || {
             let mut g = QGraph::with_input(input, BitWidth::W8);
             for l in 0..depth {
@@ -513,6 +561,9 @@ proptest! {
         tiled.select_kernels(&TiledBackend::default());
         prop_assert!(reference.kernel_choices().iter().all(|&c| c == KernelChoice::DirectConv));
         prop_assert!(blocked.kernel_choices()[..depth].iter().all(|&c| c == KernelChoice::BlockedGemm));
+        // The head reads the last conv's 8-bit codes: both lower it.
+        prop_assert_eq!(blocked.kernel_choices()[depth + 1], KernelChoice::BlockedGemm);
+        prop_assert_eq!(tiled.kernel_choices()[depth + 1], KernelChoice::BlockedGemm);
 
         let codes: Vec<u8> = (0..input.volume())
             .map(|i| ((i as u64 * 13 + seed) % 200) as u8)
@@ -612,6 +663,7 @@ proptest! {
         dw in 0usize..4,
         with_skip in any::<bool>(),
         tiled in any::<bool>(),
+        head in 0usize..60,
         zx in 0u8..4,
         seed in 0u64..1000,
     ) {
@@ -620,7 +672,7 @@ proptest! {
         // batched Eq. 7 peak against the measured high-water mark.
         let input = Shape::feature_map(h, h, ch);
         let (g, xb) = random_residual_dag(depth, ch, h, k, batch, wbits, abits,
-                                          dw_input(dw), with_skip, tiled, zx, seed);
+                                          dw_input(dw), with_skip, tiled, head, zx, seed);
         let batched_shape = input.with_batch(batch);
         let run_b = g.run(xb.clone());
 
@@ -866,6 +918,7 @@ proptest! {
         abits in bitwidth_strategy(),
         dw in 0usize..4,
         with_skip in any::<bool>(),
+        head in 0usize..60,
         zx in 0u8..4,
         seed in 0u64..1000,
     ) {
@@ -873,11 +926,11 @@ proptest! {
         // scalar walk bit-exactly: logits AND the abstract ledger (the
         // dataflow may change, the modeled work may not). The graph is
         // lowered through the tiled backend so the blocked-GEMM/`gemv2`
-        // path is on the execution path, next to the depthwise core when
-        // the DAG has a depthwise layer.
+        // path is on the execution path, for the convs and the head, next
+        // to the depthwise core when the DAG has a depthwise layer.
         use mixq::kernels::simd;
         let (g, xb) = random_residual_dag(depth, ch, h, k, batch, wbits, abits,
-                                          dw_input(dw), with_skip, true, zx, seed);
+                                          dw_input(dw), with_skip, true, head, zx, seed);
         simd::set_forced(Some(SimdLevel::Scalar));
         let scalar = g.run(xb.clone());
         for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
