@@ -1,19 +1,17 @@
 //! Batch-N graph throughput: samples/sec of the residual MobileNet
 //! (`mobilenet_like_residual`) for batch ∈ {1, 4, 8, 32} under the
-//! reference and tiled backends, against the PR-4 baseline that packed
-//! the blocked-GEMM weight panel on **every call**.
+//! reference and tiled backends.
 //!
 //! Three views:
 //!
 //! * **deterministic shape math** (`--json`, golden-tested) — the batched
 //!   Eq. 7 peak RAM and the selected kernels' im2col scratch per batch
-//!   size, plus the read-only footprint of the prepacked weight panels;
-//!   timings are deliberately excluded so the golden stays byte-stable;
+//!   size, plus the read-only footprint of the blocked-GEMM weight
+//!   panels; timings are deliberately excluded so the golden stays
+//!   byte-stable;
 //! * **measured throughput** (stdout and `--bench-json`, never goldened) —
 //!   steady-state samples/sec per backend × batch through the pooled
-//!   batched inference path, and the speedup of the prepacked tiled
-//!   backend at batch 8 over the per-call-packing baseline
-//!   (`QGraph::clear_prepack` + batch 1). Target ≥ 1.5×;
+//!   batched inference path;
 //! * **bit-identity** — every backend × batch combination must produce
 //!   identical logits for the same samples (asserted on every run).
 //!
@@ -95,9 +93,9 @@ fn main() {
     let mut net = QatNetwork::build(&spec, 77);
     net.calibrate_input(ds.images());
     net.enable_fake_quant(mixq_quant::Granularity::PerChannel);
-    // 4-bit weights — the paper's mixed low-precision regime, where the
-    // per-call cost the prepack amortizes includes the sub-byte weight
-    // decode, not just the panel interleave.
+    // 4-bit weights — the paper's mixed low-precision regime: the direct
+    // kernels extract sub-byte weight codes in place, the blocked GEMM
+    // streams panels decoded once at selection.
     for i in 0..net.num_blocks() {
         net.set_weight_bits(i, mixq_quant::BitWidth::W4);
     }
@@ -113,7 +111,7 @@ fn main() {
         ds.len()
     );
     println!(
-        "prepacked panels: reference {} B, tiled {} B (read-only, on top of {} B packed flash)",
+        "blocked-GEMM panels: reference {} B, tiled {} B (read-only, on top of {} B packed flash)",
         reference.prepacked_bytes(),
         tiled.prepacked_bytes(),
         reference.flash_bytes()
@@ -141,9 +139,7 @@ fn main() {
         json_batches.push(obj.render());
     }
 
-    // Measured steady-state throughput per backend × batch, plus the
-    // per-call-packing baseline (PR-4 behaviour: panels rebuilt every
-    // call) for the amortization headline.
+    // Measured steady-state throughput per backend × batch.
     println!("\n== measured host throughput (samples/sec; never goldened) ==");
     println!(
         "{:<7} {:>16} {:>16} {:>10}",
@@ -174,38 +170,6 @@ fn main() {
         );
         thr.push((b, sps_ref, sps_tiled));
     }
-    // The PR-4 baseline, measured the way PR 4's bench measured it: the
-    // blocked path with no prepack caches, one `infer_detailed` graph walk
-    // per sample — weight panels, sub-byte weight decodes and the im2col
-    // buffer all rebuilt per call.
-    let mut percall = tiled.clone();
-    percall.clear_prepack();
-    let sps_percall = {
-        let n = ds.len();
-        let sweep = || {
-            for i in 0..n {
-                black_box(percall.infer_detailed(black_box(&ds.sample(i).images)));
-            }
-        };
-        sweep(); // warm-up
-        let mut runs: Vec<f64> = (0..SWEEPS)
-            .map(|_| {
-                let t = Instant::now();
-                sweep();
-                t.elapsed().as_secs_f64()
-            })
-            .collect();
-        runs.sort_by(|a, b| a.total_cmp(b));
-        n as f64 / runs[runs.len() / 2]
-    };
-    let sps_tiled_b8 = thr.iter().find(|t| t.0 == 8).expect("batch 8 measured").2;
-    let speedup = sps_tiled_b8 / sps_percall;
-    rule(54);
-    println!(
-        "per-call-packing blocked baseline (batch 1): {sps_percall:.1} samples/sec\n\
-         prepacked tiled at batch 8: {sps_tiled_b8:.1} samples/sec — {speedup:.2}x (target >= 1.5x)"
-    );
-
     // Whole-run summary under the bench-smoke flags.
     let flagged_backend = backend_arg();
     let flagged_batch = batch_arg();
@@ -249,14 +213,7 @@ fn main() {
                 .raw("tiled_samples_per_sec", format!("{t:.1}"));
             obj.render()
         });
-        root.raw("throughput", json_array(rows))
-            .raw(
-                "percall_packing_samples_per_sec",
-                format!("{sps_percall:.1}"),
-            )
-            .raw("tiled_batch8_samples_per_sec", format!("{sps_tiled_b8:.1}"))
-            .raw("speedup_batch8_vs_percall", format!("{speedup:.2}"))
-            .bool("meets_1_5x_target", speedup >= 1.5);
+        root.raw("throughput", json_array(rows));
         write_json(&path, &root.render());
     }
 }

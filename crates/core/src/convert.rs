@@ -451,21 +451,12 @@ impl IntNetwork {
             .peak_scratch_bytes(self.input_shape.with_batch(batch), BitWidth::W8)
     }
 
-    /// Read-only bytes of all prepacked weight operands the deployment
+    /// Read-only bytes of the blocked-GEMM weight panels the deployment
     /// graph caches ([`QGraph::prepacked_bytes`](mixq_kernels::QGraph::prepacked_bytes))
     /// — flash-side accounting, separate from the Table-1 model of
     /// [`IntNetwork::flash_bytes`].
     pub fn prepacked_bytes(&self) -> usize {
         self.graph.prepacked_bytes()
-    }
-
-    /// Drops every node's prepack cache
-    /// ([`QGraph::clear_prepack`](mixq_kernels::QGraph::clear_prepack)),
-    /// reverting to per-call packing — for deployments that cannot afford
-    /// the panel copies, and for benchmarking the amortization itself.
-    /// Bit-identical, only slower.
-    pub fn clear_prepack(&mut self) {
-        self.graph.clear_prepack();
     }
 
     /// Actual flash bytes of this network: packed weights plus every static

@@ -16,8 +16,8 @@
 //!   pre-backend executor);
 //! * [`TiledBackend`] — a cost-driven policy that lowers standard
 //!   convolutions and the classifier head onto the register-blocked,
-//!   cache-tiled GEMM whenever its modeled cycle cost beats the direct loop
-//!   (and the expansion scratch fits an optional ceiling).
+//!   cache-tiled GEMM whenever its modeled cycle cost beats the direct
+//!   loop.
 //!
 //! Every choice is **bit-identical in output codes**: backends trade
 //! dataflow (and therefore cycles and scratch RAM), never arithmetic.
@@ -27,8 +27,7 @@
 //! # Plugging a custom backend
 //!
 //! Implement [`Backend`] and hand it to
-//! [`QGraph::select_kernels`](crate::QGraph::select_kernels),
-//! [`QGraph::push_node_with`](crate::QGraph::push_node_with) or
+//! [`QGraph::select_kernels`](crate::QGraph::select_kernels) or
 //! `mixq_core::convert::convert_with_backend`. Only return choices the op
 //! supports ([`QOp::supported_kernels`]); the graph validates the
 //! selection.
@@ -111,8 +110,7 @@ impl fmt::Display for KernelChoice {
 /// execute with.
 ///
 /// Selection runs at graph build time
-/// ([`QGraph::push_node_with`](crate::QGraph::push_node_with) /
-/// [`QGraph::select_kernels`](crate::QGraph::select_kernels)); the resolved
+/// ([`QGraph::select_kernels`](crate::QGraph::select_kernels)); the resolved
 /// choice is stored on the node, drives execution dispatch, the scratch-RAM
 /// model ([`QGraph::peak_scratch_bytes`](crate::QGraph::peak_scratch_bytes))
 /// and the per-choice cycle pricing in `mixq-mcu`. Implementations must be
@@ -146,58 +144,41 @@ impl Backend for ReferenceBackend {
 /// The cost-driven tiled backend: lowers standard convolutions and the
 /// classifier head onto the register-blocked GEMM
 /// ([`KernelChoice::BlockedGemm`]) whenever the modeled cycle cost —
-/// per-MAC rate plus the expansion traffic — beats the direct loop, and
-/// the expansion scratch fits [`TiledBackend::scratch_limit_bytes`]. The
+/// per-MAC rate plus the expansion traffic — beats the direct loop. The
 /// head is priced as a 1×1 stride-1 convolution over its `(n, 1, 1, c_i)`
 /// input, one GEMM row per batch item. Every op whose
 /// [`QOp::supported_kernels`] leaves the GEMM out stays direct: depthwise
 /// convolutions, patches or heads past
 /// [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN), pooling and residual adds.
 ///
-/// The default per-MAC rates mirror `CortexM7CycleModel`'s per-choice
-/// pricing (asserted against the model's defaults in
-/// `tests/backend_kernels.rs`, so tuning one side fails loudly instead of
-/// silently diverging). On top of those rates, selection also prices the
-/// expansion traffic — which the abstract op ledger does not — so very
-/// small output-channel counts stay direct. The expansion is the op's
-/// [`QOp::scratch_bytes`] for the GEMM, one copy per byte: the pointwise
-/// identity fast path
+/// The per-MAC rates mirror `CortexM7CycleModel`'s per-choice pricing
+/// (asserted against the model's defaults in `tests/backend_kernels.rs`,
+/// so tuning one side fails loudly instead of silently diverging). On top
+/// of those rates, selection also prices the expansion traffic — which the
+/// abstract op ledger does not — so very small output-channel counts stay
+/// direct. The expansion is the op's [`QOp::scratch_bytes`] for the GEMM,
+/// one copy per byte: the pointwise identity fast path
 /// ([`QConv2d::blocked_borrows_input`](crate::QConv2d::blocked_borrows_input))
-/// and a head over an 8-bit input borrow their input and are priced (and
-/// scratch-checked) as free.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TiledBackend {
-    /// Modeled cycles per MAC of the direct dense loop.
-    pub direct_mac_cycles: f64,
-    /// Modeled cycles per MAC of the blocked GEMM inner kernel.
-    pub blocked_mac_cycles: f64,
-    /// Modeled cycles per element copied into the GEMM's expansion buffer
-    /// (an im2col matrix or a sub-byte unpack).
-    pub im2col_cycles_per_elem: f64,
-    /// Optional ceiling on the expansion scratch buffer: a GEMM kernel is
-    /// never selected for a node whose expansion would exceed it (deploying
-    /// within a RAM budget must bound transient buffers too).
-    pub scratch_limit_bytes: Option<usize>,
-}
-
-impl Default for TiledBackend {
-    fn default() -> Self {
-        TiledBackend {
-            direct_mac_cycles: 2.1,
-            blocked_mac_cycles: 1.4,
-            im2col_cycles_per_elem: 1.0,
-            scratch_limit_bytes: None,
-        }
-    }
-}
+/// and a head over an 8-bit input borrow their input and are priced as
+/// free.
+///
+/// It has no settable parameter: the rates are associated constants.
+/// Callers outside this crate build it as `TiledBackend::default()`;
+/// `#[non_exhaustive]` keeps that call free of Clippy's
+/// `default_constructed_unit_structs` lint, which fires on an exhaustive
+/// unit struct.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct TiledBackend;
 
 impl TiledBackend {
-    /// A tiled backend that refuses GEMM lowerings whose expansion buffer
-    /// exceeds `bytes` of scratch RAM.
-    pub fn with_scratch_limit(mut self, bytes: usize) -> Self {
-        self.scratch_limit_bytes = Some(bytes);
-        self
-    }
+    /// Modeled cycles per MAC of the direct dense loop.
+    pub const DIRECT_MAC_CYCLES: f64 = 2.1;
+    /// Modeled cycles per MAC of the blocked GEMM inner kernel.
+    pub const BLOCKED_MAC_CYCLES: f64 = 1.4;
+    /// Modeled cycles per element copied into the GEMM's expansion buffer
+    /// (an im2col matrix or a sub-byte unpack).
+    pub const IM2COL_CYCLES_PER_ELEM: f64 = 1.0;
 }
 
 impl Backend for TiledBackend {
@@ -223,21 +204,15 @@ impl Backend for TiledBackend {
         };
         // The expansion the GEMM materializes: one code per matrix element,
         // none when it borrows an 8-bit input zero-copy (the pointwise
-        // identity path, or a head over 8-bit codes). Over the ceiling,
-        // stay direct.
+        // identity path, or a head over 8-bit codes).
         let expansion = op.scratch_bytes(KernelChoice::BlockedGemm, inputs, in_bits);
-        if self
-            .scratch_limit_bytes
-            .is_some_and(|limit| expansion > limit)
-        {
-            return KernelChoice::DirectConv;
-        }
         // Both dataflows perform the same padded MAC count (rows · k per
         // output channel); the GEMM path adds one copy per expanded
         // element. Deterministic shape math — no measurement involved.
         let macs = (rows * k * co) as f64;
-        let direct = macs * self.direct_mac_cycles;
-        let gemm = macs * self.blocked_mac_cycles + expansion as f64 * self.im2col_cycles_per_elem;
+        let direct = macs * Self::DIRECT_MAC_CYCLES;
+        let gemm =
+            macs * Self::BLOCKED_MAC_CYCLES + expansion as f64 * Self::IM2COL_CYCLES_PER_ELEM;
         if gemm < direct {
             KernelChoice::BlockedGemm
         } else {
@@ -254,14 +229,14 @@ pub enum BackendKind {
     /// [`ReferenceBackend`]: direct kernels everywhere.
     #[default]
     Reference,
-    /// [`TiledBackend`] with the given parameters.
+    /// [`TiledBackend`].
     Tiled(TiledBackend),
 }
 
 impl BackendKind {
-    /// The default-parameter tiled backend.
+    /// The tiled backend.
     pub fn tiled() -> Self {
-        BackendKind::Tiled(TiledBackend::default())
+        BackendKind::Tiled(TiledBackend)
     }
 }
 
@@ -450,44 +425,6 @@ mod tests {
         );
         assert_eq!(
             b.select(&head(4, 1), &[feat], &[BitWidth::W4]),
-            KernelChoice::DirectConv
-        );
-        // The ceiling vetoes a sub-byte head's 8 × 4-code unpack, never a
-        // borrowed 8-bit input.
-        let tight = TiledBackend::default().with_scratch_limit(31);
-        assert_eq!(
-            tight.select(&head(4, 8), &[feat], &[BitWidth::W4]),
-            KernelChoice::DirectConv
-        );
-        assert_eq!(
-            tight.select(&head(4, 8), &[feat], &[BitWidth::W8]),
-            KernelChoice::BlockedGemm
-        );
-    }
-
-    #[test]
-    fn tiled_scratch_ceiling_vetoes_gemm() {
-        let input = Shape::feature_map(8, 8, 4);
-        let b = TiledBackend::default().with_scratch_limit(8);
-        assert_eq!(
-            b.select(&dense3x3(4, 8), &[input], &[BitWidth::W8]),
-            KernelChoice::DirectConv
-        );
-        let roomy = TiledBackend::default().with_scratch_limit(1 << 20);
-        assert_eq!(
-            roomy.select(&dense3x3(4, 8), &[input], &[BitWidth::W8]),
-            KernelChoice::BlockedGemm
-        );
-        // The pointwise identity path materializes nothing, so the ceiling
-        // does not apply to it (its scratch need is genuinely zero)...
-        assert_eq!(
-            b.select(&pointwise(4, 8), &[input], &[BitWidth::W8]),
-            KernelChoice::BlockedGemm
-        );
-        // ...but a sub-byte pointwise input unpacks into a real buffer and
-        // is vetoed like any other expansion.
-        assert_eq!(
-            b.select(&pointwise(4, 8), &[input], &[BitWidth::W4]),
             KernelChoice::DirectConv
         );
     }

@@ -76,11 +76,11 @@ use crate::{OpCounts, QActivation, QConv2d, QConvWeights, QLinear, Requantizer};
 /// The paper's deployment target is steady-state inference over immutable
 /// flash-resident weights, so — following the prepacked-operand design of
 /// production int8 GEMMs (gemmlowp's `PackedSideBlock`, CMSIS-NN's
-/// reordered kernel weights) — the graph executor builds this artifact at
-/// kernel-selection time, stores it on the node, and every inference (and
-/// every sample of a batch) streams it directly. The per-call
-/// decode/interleave and the `Σ W` recomputation of the PR-4 kernel all
-/// disappear from the hot path.
+/// reordered kernel weights) — [`QGraph::select_kernels`](crate::QGraph::select_kernels)
+/// builds this artifact once for each node it resolves to the blocked
+/// GEMM and stores it on the node, and every inference (and every sample
+/// of a batch) streams it directly. It is the node's only weight cache: no
+/// call decodes, interleaves or sums the weights.
 ///
 /// The panel layout is **k-major over column pairs, channel-interleaved
 /// within each pair**: `pairs[(p·c_o + co)·2 + s]` holds channel `co`'s
@@ -478,7 +478,7 @@ impl QLinear {
     /// The epilogue is the oracle's arithmetic, per class in `i64`:
     /// `Σ X·W + Bq − Zw·Σ X − Zx·base` equals `Bq + Σ (X − Zx)(W − Zw)`
     /// exactly, so after the same `i32` clamp and optional rescale the
-    /// logits are [`QLinear::execute_into_with`]'s for any input, with no
+    /// logits are [`QLinear::execute_into`]'s for any input, with no
     /// overflow gate. The ledger is the oracle's too: `n·c_i·c_o` MACs and
     /// activation loads, one unpack per MAC for each sub-byte operand, one
     /// offset subtraction per MAC under per-channel `Zw`, and one bias add,
@@ -724,11 +724,11 @@ mod tests {
     }
 
     /// Runs the layer on the blocked kernel through the graph's dispatch
-    /// point, packing the panels per call.
+    /// point, against freshly built panels.
     fn blocked(conv: &QConv2d, x: &QActivation, ops: &mut OpCounts) -> QActivation {
         let out = conv.execute_kernel(
             KernelChoice::BlockedGemm,
-            None,
+            Some(&conv.prepack_panels()),
             &[x],
             &mut ActivationArena::new(),
             ops,
@@ -891,7 +891,8 @@ mod tests {
             KernelChoice::DirectConv
         );
         let mut g = QGraph::with_input(x.shape(), BitWidth::W8);
-        g.push_with("pw", conv.clone(), &backend);
+        g.push("pw", conv.clone());
+        g.select_kernels(&backend);
         assert_eq!(g.kernel_choices(), vec![KernelChoice::DirectConv]);
         let mut ops = OpCounts::default();
         let direct = conv.execute(&x, &mut ops);
@@ -957,16 +958,14 @@ mod tests {
         }
     }
 
-    /// Runs the head's blocked GEMV through its dispatch point.
-    fn blocked_head(
-        head: &QLinear,
-        cache: Option<&crate::PrepackedWeights>,
-        x: &QActivation,
-    ) -> (Vec<i32>, OpCounts) {
+    /// Runs the head's blocked GEMV through its dispatch point, against
+    /// the panels a graph node caches ([`QOp::prepack`]).
+    fn blocked_head(head: &QLinear, x: &QActivation) -> (Vec<i32>, OpCounts) {
+        let (panels, _) = head.prepack(KernelChoice::BlockedGemm);
         let (mut logits, mut ops) = (Vec::new(), OpCounts::default());
         head.execute_kernel_into(
             KernelChoice::BlockedGemm,
-            cache,
+            panels.as_ref(),
             x,
             &mut ActivationArena::new(),
             &mut logits,
@@ -996,19 +995,15 @@ mod tests {
                 .collect();
             let x = QActivation::from_codes(shape, &codes, xbits, 1);
             let (mut want, mut od) = (Vec::new(), OpCounts::default());
-            head.execute_into_with(None, &x, &mut want, &mut od);
+            head.execute_into(&x, &mut want, &mut od);
             let case = format!("classes={classes} ci={ci} n={n} {wbits:?}/{xbits:?}");
             assert_eq!(od, head_ledger(&head, &x), "oracle: {case}");
             if bq == i32::MAX {
                 assert!(want.contains(&i32::MAX), "{case}: must clamp at the rail");
             }
-            let (cache, _) = head.prepack(KernelChoice::BlockedGemm);
-            assert!(matches!(cache, Some(crate::PrepackedWeights::Panels(_))));
-            for cache in [None, cache.as_ref()] {
-                let (got, ob) = blocked_head(&head, cache, &x);
-                assert_eq!(got, want, "{case}");
-                assert_eq!(ob, od, "{case}");
-            }
+            let (got, ob) = blocked_head(&head, &x);
+            assert_eq!(got, want, "{case}");
+            assert_eq!(ob, od, "{case}");
         }
     }
 
@@ -1033,8 +1028,8 @@ mod tests {
             .contains(&KernelChoice::BlockedGemm));
         let x = QActivation::from_codes(Shape::vector(ci), &vec![255; ci], BitWidth::W8, 0);
         let (mut want, mut od) = (Vec::new(), OpCounts::default());
-        head.execute_into_with(None, &x, &mut want, &mut od);
-        let (got, ob) = blocked_head(&head, None, &x);
+        head.execute_into(&x, &mut want, &mut od);
+        let (got, ob) = blocked_head(&head, &x);
         assert_eq!(got, want);
         assert_eq!(ob, od);
     }
@@ -1046,7 +1041,7 @@ mod tests {
         let head = make_head(1, ci, BitWidth::W8, false, 0, false);
         assert_eq!(head.supported_kernels(), &[KernelChoice::DirectConv]);
         let x = make_input(1, 1, ci, BitWidth::W8, 0);
-        let _ = blocked_head(&head, None, &x);
+        let _ = blocked_head(&head, &x);
     }
 
     #[test]

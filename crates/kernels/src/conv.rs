@@ -151,7 +151,7 @@ impl QConv2d {
     /// Panics if the input channel count disagrees with the weights.
     pub fn execute(&self, x: &QActivation, ops: &mut OpCounts) -> QActivation {
         let mut out_codes = Vec::new();
-        let out_shape = self.execute_codes_pooled(None, x, &mut out_codes, &mut Vec::new(), ops);
+        let out_shape = self.execute_codes_pooled(x, &mut out_codes, &mut Vec::new(), ops);
         QActivation::from_codes(
             out_shape,
             &out_codes,
@@ -165,38 +165,26 @@ impl QConv2d {
     /// the unpacked output codes into `out_codes` (cleared and resized in
     /// place) and returns the output shape.
     ///
-    /// `wcodes` is the optional prepacked cache, the weight codes one per
-    /// byte in `(c_o, k_h, k_w, c_i)` order, so the inner loop reads plain
-    /// bytes (8-bit weights borrow their packed bytes without one). `aux`
-    /// is caller-owned staging: a depthwise layer on the fast core
+    /// 8-bit weights are read from their packed bytes and sub-byte ones
+    /// extracted in place ([`QConvWeights::code_at`]), as the
+    /// microcontroller reads them. `aux` is caller-owned staging: a
+    /// depthwise layer on the fast core
     /// ([`crate::simd::depthwise::mac_pixels`]) decodes a 2- or 4-bit input
-    /// into it once, so every tap reads plain bytes. Neither host copy is
+    /// into it once, so every tap reads plain bytes. That host copy is not
     /// charged: the [`OpCounts`] ledger keeps charging one unpack per
     /// sub-byte operand per MAC, as the microcontroller pays.
     ///
     /// # Panics
     ///
-    /// Panics if the input channel count disagrees with the weights or
-    /// `wcodes` has the wrong length.
+    /// Panics if the input channel count disagrees with the weights.
     pub(crate) fn execute_codes_pooled(
         &self,
-        wcodes: Option<&[u8]>,
         x: &QActivation,
         out_codes: &mut Vec<u8>,
         aux: &mut Vec<u8>,
         ops: &mut OpCounts,
     ) -> Shape {
-        if let Some(w) = wcodes {
-            assert_eq!(
-                w.len(),
-                self.weights.shape().volume(),
-                "decoded weight cache length"
-            );
-        }
-        // A decoded weight view exists whenever a cache was handed in or
-        // the weights are 8-bit (their packed bytes are the codes).
-        let wslice: Option<&[u8]> =
-            wcodes.or_else(|| (!self.weights.needs_unpack()).then(|| self.weights.as_bytes()));
+        let wbytes = (!self.weights.needs_unpack()).then(|| self.weights.as_bytes());
         let out_shape = self.output_shape(x.shape());
         out_codes.clear();
         out_codes.resize(out_shape.volume(), 0);
@@ -216,7 +204,7 @@ impl QConv2d {
                 x.as_bytes()
             };
             self.depthwise_taps(dw_ops, x, xcodes, out_codes, rq, tc)
-        } else if let Some(w) = wslice {
+        } else if let Some(w) = wbytes {
             self.direct_channels(x, out_codes, rq, tc, |i| w[i])
         } else {
             self.direct_channels(x, out_codes, rq, tc, |i| self.weights.code_at(i))

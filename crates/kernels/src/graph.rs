@@ -81,61 +81,6 @@ use crate::blocked::{im2col_scratch_bytes, PackedPanels};
 use crate::simd::MAX_DOT_LEN;
 use crate::{OpCounts, QActivation, QAdd, QAvgPool, QConv2d, QLinear};
 
-/// A node's prepacked weight operand, built **once** when the node's
-/// kernel choice is resolved and consumed by every subsequent execution
-/// (and every sample of a batch) — the steady-state optimization of
-/// production int8 GEMMs, where weights are immutable flash constants and
-/// packing them per call is pure waste.
-///
-/// What gets cached follows the resolved [`KernelChoice`]:
-///
-/// * a [`KernelChoice::BlockedGemm`] convolution or classifier head
-///   caches its interleaved [`PackedPanels`] (pair-interleaved GEMV weight
-///   panels + hoisted zero-point tables), so no call packs panels;
-/// * a direct convolution or head with **sub-byte** weights caches the
-///   codes decoded to one per byte in `(c_o, k_h, k_w, c_i)` order, so the
-///   inner loop stops mask-and-shift extracting every operand (8-bit
-///   weights already read their packed bytes directly and cache nothing);
-/// * pooling and residual adds have no weights and cache nothing.
-///
-/// The artifact is read-only and weight-derived: deployment rewrites that
-/// keep the weights (e.g. threshold saturation) keep it valid. Its
-/// footprint is reported by [`PrepackedWeights::bytes`] — flash-side
-/// accounting, never part of the Eq. 7 activation live set.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PrepackedWeights {
-    /// Interleaved blocked-GEMM panels with hoisted per-channel terms.
-    Panels(PackedPanels),
-    /// Weight codes decoded one-per-byte in `(c_o, k_h, k_w, c_i)` order.
-    Codes(Vec<u8>),
-}
-
-impl PrepackedWeights {
-    /// The decoded-code cache, if that is the cached form.
-    pub fn codes(&self) -> Option<&[u8]> {
-        match self {
-            PrepackedWeights::Codes(c) => Some(c),
-            PrepackedWeights::Panels(_) => None,
-        }
-    }
-
-    /// The blocked-GEMM panel cache, if that is the cached form.
-    pub fn panels(&self) -> Option<&PackedPanels> {
-        match self {
-            PrepackedWeights::Panels(p) => Some(p),
-            PrepackedWeights::Codes(_) => None,
-        }
-    }
-
-    /// Read-only footprint of the cached artifact in bytes.
-    pub fn bytes(&self) -> usize {
-        match self {
-            PrepackedWeights::Panels(p) => p.bytes(),
-            PrepackedWeights::Codes(c) => c.len(),
-        }
-    }
-}
-
 /// Coarse operator class of a graph node — what a cycle model needs to
 /// pick the right per-MAC rate (dense convolutions stream through the
 /// dual-MAC `SMLAD`; depthwise kernels have poor data reuse; the
@@ -204,18 +149,19 @@ pub trait QOp {
         &[KernelChoice::DirectConv]
     }
 
-    /// Builds the prepacked weight operand for the given kernel choice —
-    /// what a [`GraphNode`] caches at selection time — together with the
-    /// one-time [`OpCounts`] ledger of the packing work itself (decode
-    /// unpacks, panel stores). Ops with nothing to cache return
-    /// `(None, OpCounts::default())`, the default.
-    fn prepack(&self, choice: KernelChoice) -> (Option<PrepackedWeights>, OpCounts) {
+    /// Builds the blocked-GEMM [`PackedPanels`] for a node resolved to
+    /// [`KernelChoice::BlockedGemm`] — what [`QGraph::select_kernels`]
+    /// caches on the node — together with the one-time [`OpCounts`] ledger
+    /// of the packing work itself (code reads and decodes, panel stores).
+    /// Every other choice, and every op without a blocked kernel, has
+    /// nothing to cache: `(None, OpCounts::default())`, the default.
+    fn prepack(&self, choice: KernelChoice) -> (Option<PackedPanels>, OpCounts) {
         let _ = choice;
         (None, OpCounts::default())
     }
 
-    /// Runs the op with a throwaway arena, no prepack cache and the
-    /// reference kernel, charging `ops`.
+    /// Runs the op with a throwaway arena, no panels and the reference
+    /// kernel, charging `ops`.
     ///
     /// # Panics
     ///
@@ -235,18 +181,19 @@ pub trait QOp {
     /// and packed output storage from `arena` — the buffer-pool hook that
     /// makes steady-state inference allocation-free. This is the executor's
     /// dispatch point: each graph node passes its build-time-resolved
-    /// [`KernelChoice`] and its [`PrepackedWeights`] cache here; a `None`
-    /// cache falls back to per-call packing (bit-identical, just slower).
+    /// [`KernelChoice`] and its panels ([`GraphNode::prepacked`]) here.
+    /// [`KernelChoice::BlockedGemm`] runs on the given panels; every other
+    /// choice reads the packed weights in place and ignores them.
     ///
     /// # Panics
     ///
     /// Panics if the choice is not in [`QOp::supported_kernels`], the
-    /// input count disagrees with the arity, or the cache was built for a
-    /// different kernel choice or layer.
+    /// input count disagrees with the arity, or a blocked call gets no
+    /// panels or panels built for a different layer.
     fn execute_kernel(
         &self,
         choice: KernelChoice,
-        cache: Option<&PrepackedWeights>,
+        panels: Option<&PackedPanels>,
         inputs: &[&QActivation],
         arena: &mut ActivationArena,
         ops: &mut OpCounts,
@@ -300,14 +247,14 @@ impl QOp for QConv2d {
         }
     }
 
-    fn prepack(&self, choice: KernelChoice) -> (Option<PrepackedWeights>, OpCounts) {
-        prepack_weights(self.weights(), choice, || self.prepack_panels())
+    fn prepack(&self, choice: KernelChoice) -> (Option<PackedPanels>, OpCounts) {
+        blocked_prepack(self.weights(), choice, || self.prepack_panels())
     }
 
     fn execute_kernel(
         &self,
         choice: KernelChoice,
-        cache: Option<&PrepackedWeights>,
+        panels: Option<&PackedPanels>,
         inputs: &[&QActivation],
         arena: &mut ActivationArena,
         ops: &mut OpCounts,
@@ -316,22 +263,14 @@ impl QOp for QConv2d {
         let shape = match choice {
             KernelChoice::DirectConv => {
                 let mut aux = arena.take_aux();
-                let wcodes = cache.and_then(PrepackedWeights::codes);
-                let shape = self.execute_codes_pooled(wcodes, inputs[0], &mut codes, &mut aux, ops);
+                let shape = self.execute_codes_pooled(inputs[0], &mut codes, &mut aux, ops);
                 arena.put_aux(aux);
                 shape
             }
             KernelChoice::BlockedGemm => {
+                let panels = panels.expect(NO_PANELS);
                 let mut aux = arena.take_aux();
                 let mut acc = arena.take_acc();
-                let owned;
-                let panels = match cache.and_then(PrepackedWeights::panels) {
-                    Some(p) => p,
-                    None => {
-                        owned = self.prepack_panels();
-                        &owned
-                    }
-                };
                 let shape = self.execute_blocked_prepacked_pooled(
                     panels, inputs[0], &mut aux, &mut acc, &mut codes, ops,
                 );
@@ -394,7 +333,7 @@ impl QOp for QAvgPool {
     fn execute_kernel(
         &self,
         _choice: KernelChoice,
-        _cache: Option<&PrepackedWeights>,
+        _panels: Option<&PackedPanels>,
         inputs: &[&QActivation],
         arena: &mut ActivationArena,
         ops: &mut OpCounts,
@@ -442,8 +381,8 @@ impl QOp for QLinear {
         }
     }
 
-    fn prepack(&self, choice: KernelChoice) -> (Option<PrepackedWeights>, OpCounts) {
-        prepack_weights(self.weights(), choice, || {
+    fn prepack(&self, choice: KernelChoice) -> (Option<PackedPanels>, OpCounts) {
+        blocked_prepack(self.weights(), choice, || {
             PackedPanels::build(self.weights(), self.in_features())
         })
     }
@@ -451,13 +390,13 @@ impl QOp for QLinear {
     fn execute_kernel(
         &self,
         choice: KernelChoice,
-        cache: Option<&PrepackedWeights>,
+        panels: Option<&PackedPanels>,
         inputs: &[&QActivation],
         arena: &mut ActivationArena,
         ops: &mut OpCounts,
     ) -> OpOutput {
         let mut logits = Vec::with_capacity(inputs[0].shape().n * self.out_features());
-        self.execute_kernel_into(choice, cache, inputs[0], arena, &mut logits, ops);
+        self.execute_kernel_into(choice, panels, inputs[0], arena, &mut logits, ops);
         OpOutput::Logits(logits)
     }
 
@@ -513,7 +452,7 @@ impl QOp for QAdd {
     fn execute_kernel(
         &self,
         _choice: KernelChoice,
-        _cache: Option<&PrepackedWeights>,
+        _panels: Option<&PackedPanels>,
         inputs: &[&QActivation],
         arena: &mut ActivationArena,
         ops: &mut OpCounts,
@@ -544,39 +483,30 @@ impl QOp for QAdd {
     }
 }
 
+/// The panic message of a blocked-GEMM call without its panels.
+pub(crate) const NO_PANELS: &str =
+    "a blocked-GEMM call needs the node's panels (built by QGraph::select_kernels)";
+
 /// Prepack rule shared by the convolutions and the classifier head: a
-/// blocked-GEMM node caches its interleaved panels; a direct node caches
-/// the decoded codes when (and only when) the weights are sub-byte —
-/// 8-bit weights already read their packed bytes directly.
-fn prepack_weights(
+/// blocked-GEMM node caches its interleaved panels, charged one read of
+/// every code (decoding sub-byte ones) and one panel store per code, once;
+/// a direct node reads the packed weights in place and caches nothing.
+fn blocked_prepack(
     weights: &crate::QConvWeights,
     choice: KernelChoice,
     build_panels: impl FnOnce() -> PackedPanels,
-) -> (Option<PrepackedWeights>, OpCounts) {
-    let vol = weights.shape().volume() as u64;
-    match choice {
-        KernelChoice::BlockedGemm => {
-            // One-time work: read every code (decoding sub-byte ones),
-            // store it into the interleaved panel.
-            let ops = OpCounts {
-                unpacks: if weights.needs_unpack() { vol } else { 0 },
-                act_loads: vol,
-                act_stores: vol,
-                ..OpCounts::default()
-            };
-            (Some(PrepackedWeights::Panels(build_panels())), ops)
-        }
-        // One unpack and one store per code, once.
-        KernelChoice::DirectConv if weights.needs_unpack() => {
-            let ops = OpCounts {
-                unpacks: vol,
-                act_stores: vol,
-                ..OpCounts::default()
-            };
-            (Some(PrepackedWeights::Codes(weights.codes())), ops)
-        }
-        KernelChoice::DirectConv => (None, OpCounts::default()),
+) -> (Option<PackedPanels>, OpCounts) {
+    if choice != KernelChoice::BlockedGemm {
+        return (None, OpCounts::default());
     }
+    let vol = weights.shape().volume() as u64;
+    let ops = OpCounts {
+        unpacks: if weights.needs_unpack() { vol } else { 0 },
+        act_loads: vol,
+        act_stores: vol,
+        ..OpCounts::default()
+    };
+    (Some(build_panels()), ops)
 }
 
 /// Closed set of graph node operators.
@@ -645,19 +575,19 @@ impl QOp for AnyOp {
         dispatch!(self, op => QOp::supported_kernels(op))
     }
 
-    fn prepack(&self, choice: KernelChoice) -> (Option<PrepackedWeights>, OpCounts) {
+    fn prepack(&self, choice: KernelChoice) -> (Option<PackedPanels>, OpCounts) {
         dispatch!(self, op => QOp::prepack(op, choice))
     }
 
     fn execute_kernel(
         &self,
         choice: KernelChoice,
-        cache: Option<&PrepackedWeights>,
+        panels: Option<&PackedPanels>,
         inputs: &[&QActivation],
         arena: &mut ActivationArena,
         ops: &mut OpCounts,
     ) -> OpOutput {
-        dispatch!(self, op => QOp::execute_kernel(op, choice, cache, inputs, arena, ops))
+        dispatch!(self, op => QOp::execute_kernel(op, choice, panels, inputs, arena, ops))
     }
 
     fn output_shape(&self, inputs: &[Shape]) -> Shape {
@@ -681,15 +611,17 @@ impl QOp for AnyOp {
     }
 }
 
-/// A named node of a [`QGraph`] with its input tensor ids and the kernel
-/// implementation it resolved to at build time.
+/// A named node of a [`QGraph`] with its input tensor ids, the kernel
+/// implementation it resolved to at build time and, when that is the
+/// blocked GEMM, the weight panels it streams — the node's one weight
+/// cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphNode {
     name: String,
     op: AnyOp,
     inputs: Vec<usize>,
     choice: KernelChoice,
-    cache: Option<PrepackedWeights>,
+    panels: Option<PackedPanels>,
     prepack_ops: OpCounts,
 }
 
@@ -705,9 +637,9 @@ impl GraphNode {
     }
 
     /// Mutable operator (deployment rewrites, e.g. threshold saturation).
-    /// The node's kernel choice and prepack cache are preserved across
-    /// rewrites — the cache is weight-derived, so rewrites that keep the
-    /// weights (requantizer changes) keep it valid.
+    /// The node's kernel choice and panels are preserved across rewrites —
+    /// the panels are weight-derived, so rewrites that keep the weights
+    /// (requantizer changes) keep them valid.
     pub fn op_mut(&mut self) -> &mut AnyOp {
         &mut self.op
     }
@@ -718,37 +650,29 @@ impl GraphNode {
     }
 
     /// The kernel implementation this node executes with — resolved by a
-    /// [`Backend`] at build time ([`QGraph::push_node_with`] /
-    /// [`QGraph::select_kernels`]); [`KernelChoice::DirectConv`] for nodes
-    /// pushed without a backend.
+    /// [`Backend`] in [`QGraph::select_kernels`];
+    /// [`KernelChoice::DirectConv`] until then.
     pub fn choice(&self) -> KernelChoice {
         self.choice
     }
 
-    /// The node's prepacked weight operand, built once when the kernel
-    /// choice was resolved; `None` when the op has nothing to cache (or
-    /// after [`QGraph::clear_prepack`]).
-    pub fn prepacked(&self) -> Option<&PrepackedWeights> {
-        self.cache.as_ref()
+    /// The node's blocked-GEMM weight panels, built once by
+    /// [`QGraph::select_kernels`] when the node resolved to
+    /// [`KernelChoice::BlockedGemm`]; `None` for every other choice.
+    pub fn prepacked(&self) -> Option<&PackedPanels> {
+        self.panels.as_ref()
     }
 
-    /// The one-time [`OpCounts`] ledger of building this node's prepack
-    /// cache (zero when nothing is cached) — what cycle models report
-    /// separately from the steady-state per-inference work.
+    /// The one-time [`OpCounts`] ledger of building this node's panels
+    /// (zero when it has none) — what cycle models report separately from
+    /// the steady-state per-inference work.
     pub fn prepack_ops(&self) -> OpCounts {
         self.prepack_ops
     }
 
-    /// Read-only bytes of the node's prepack cache (zero when none).
+    /// Read-only bytes of the node's panels (zero when none).
     pub fn prepacked_bytes(&self) -> usize {
-        self.cache.as_ref().map_or(0, PrepackedWeights::bytes)
-    }
-
-    /// (Re)builds the prepack cache from the op and the resolved choice.
-    fn build_prepack(&mut self) {
-        let (cache, ops) = self.op.prepack(self.choice);
-        self.cache = cache;
-        self.prepack_ops = ops;
+        self.panels.as_ref().map_or(0, PackedPanels::bytes)
     }
 }
 
@@ -766,8 +690,8 @@ pub struct LayerRun {
     pub choice: KernelChoice,
     /// Abstract operation counts charged by this layer alone.
     pub ops: OpCounts,
-    /// One-time packing work of the node's prepack cache (zero when the
-    /// node caches nothing). Charged at graph build, **not** per inference
+    /// One-time packing work of the node's panels (zero when the node has
+    /// none). Charged at graph build, **not** per inference
     /// — cycle models report it separately from the steady-state cost.
     pub prepack: OpCounts,
     /// Input activation bytes (packed, summed over all inputs —
@@ -896,12 +820,12 @@ impl ActivationArena {
 /// already be defined, so the node order doubles as the execution
 /// schedule. See the [module docs](self) for examples.
 ///
-/// Each node carries the [`KernelChoice`] it executes with. Plain
-/// [`QGraph::push`]/[`QGraph::push_node`] resolve every node to the direct
-/// reference kernel (bit-identical to the pre-backend executor); declaring
-/// the input with [`QGraph::with_input`] enables build-time [`Backend`]
-/// selection through [`QGraph::push_with`]/[`QGraph::push_node_with`], and
-/// [`QGraph::select_kernels`] re-resolves a whole graph against a backend.
+/// Each node carries the [`KernelChoice`] it executes with.
+/// [`QGraph::push`]/[`QGraph::push_node`] append a node on the direct
+/// reference kernel and build nothing; declaring the input with
+/// [`QGraph::with_input`] enables [`QGraph::select_kernels`], which
+/// resolves every node against a [`Backend`] and is the one place a
+/// node's weight panels are built.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QGraph {
     nodes: Vec<GraphNode>,
@@ -934,32 +858,16 @@ impl QGraph {
     /// Appends a chain node consuming the most recent tensor (the previous
     /// node's output, or the graph input for the first node). Returns the
     /// new node's output tensor id. The node runs the direct reference
-    /// kernel.
+    /// kernel until [`QGraph::select_kernels`] resolves it.
     pub fn push(&mut self, name: impl Into<String>, op: impl Into<AnyOp>) -> usize {
         let prev = self.nodes.len();
         self.push_node(name, op, &[prev])
     }
 
-    /// [`QGraph::push`] with build-time kernel selection: `backend` picks
-    /// the node's [`KernelChoice`] from its input shapes and precisions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no declared input ([`QGraph::with_input`])
-    /// or the backend returns an unsupported choice.
-    pub fn push_with(
-        &mut self,
-        name: impl Into<String>,
-        op: impl Into<AnyOp>,
-        backend: &dyn Backend,
-    ) -> usize {
-        let prev = self.nodes.len();
-        self.push_node_with(name, op, &[prev], backend)
-    }
-
     /// Appends a node with explicit input tensor ids (0 = graph input,
     /// `k + 1` = output of node `k`). Returns the new node's output tensor
-    /// id. The node runs the direct reference kernel.
+    /// id. The node runs the direct reference kernel until
+    /// [`QGraph::select_kernels`] resolves it.
     ///
     /// # Panics
     ///
@@ -971,48 +879,7 @@ impl QGraph {
         op: impl Into<AnyOp>,
         inputs: &[usize],
     ) -> usize {
-        self.push_resolved(name.into(), op.into(), inputs, KernelChoice::DirectConv)
-    }
-
-    /// [`QGraph::push_node`] with build-time kernel selection: `backend`
-    /// picks the node's [`KernelChoice`] from the shapes and precisions of
-    /// its input tensors (derived from the declared graph input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no declared input ([`QGraph::with_input`]),
-    /// the backend returns a choice outside the op's
-    /// [`QOp::supported_kernels`], or the [`QGraph::push_node`] conditions
-    /// are violated.
-    pub fn push_node_with(
-        &mut self,
-        name: impl Into<String>,
-        op: impl Into<AnyOp>,
-        inputs: &[usize],
-        backend: &dyn Backend,
-    ) -> usize {
-        let name = name.into();
-        let op = op.into();
-        let (input, in_bits) = self.input.unwrap_or_else(|| {
-            panic!(
-                "node `{name}`: backend selection needs a declared graph input \
-                 (build the graph with QGraph::with_input)"
-            )
-        });
-        let (shapes, bits) = self.tensor_plan(input, in_bits);
-        let in_shapes: Vec<Shape> = inputs.iter().map(|&t| shapes[t]).collect();
-        let in_bits_v: Vec<BitWidth> = inputs.iter().map(|&t| bits[t]).collect();
-        let choice = resolve_choice(backend, &name, &op, &in_shapes, &in_bits_v);
-        self.push_resolved(name, op, inputs, choice)
-    }
-
-    fn push_resolved(
-        &mut self,
-        name: String,
-        op: AnyOp,
-        inputs: &[usize],
-        choice: KernelChoice,
-    ) -> usize {
+        let (name, op) = (name.into(), op.into());
         let out_id = self.nodes.len() + 1;
         assert_eq!(
             inputs.len(),
@@ -1027,27 +894,32 @@ impl QGraph {
                 "node `{name}`: input tensor {t} is not defined yet (next id is {out_id})"
             );
         }
-        let mut node = GraphNode {
+        self.nodes.push(GraphNode {
             name,
             op,
             inputs: inputs.to_vec(),
-            choice,
-            cache: None,
+            choice: KernelChoice::DirectConv,
+            panels: None,
             prepack_ops: OpCounts::default(),
-        };
-        node.build_prepack();
-        self.nodes.push(node);
+        });
         out_id
     }
 
-    /// Re-resolves every node's [`KernelChoice`] against `backend` —
-    /// retargeting an already-built graph (e.g. a converted network) to a
-    /// different backend without rebuilding it.
+    /// Resolves every node's [`KernelChoice`] against `backend` from the
+    /// shapes and precisions of its input tensors (derived from the
+    /// declared graph input) — for a freshly built graph, or to retarget
+    /// an already-built one (e.g. a converted network) without rebuilding
+    /// it. This is the one place a node's blocked-GEMM panels
+    /// ([`QOp::prepack`]) are built: when the node resolves to
+    /// [`KernelChoice::BlockedGemm`] from another choice. A node that
+    /// leaves the blocked GEMM drops its panels, and one re-selected with
+    /// the same choice keeps what it has.
     ///
     /// # Panics
     ///
     /// Panics if the graph has no declared input ([`QGraph::with_input`])
-    /// or the backend returns an unsupported choice for some node.
+    /// or the backend returns a choice outside some node's
+    /// [`QOp::supported_kernels`].
     pub fn select_kernels(&mut self, backend: &dyn Backend) {
         let (input, in_bits) = self
             .input
@@ -1062,30 +934,21 @@ impl QGraph {
                 in_shapes.push(shapes[t]);
                 in_bits_v.push(bits[t]);
             }
-            let choice = resolve_choice(backend, &node.name, &node.op, &in_shapes, &in_bits_v);
-            // Rebuild the cache only when the choice changed (a different
-            // artifact form applies) or none is held (first selection, or
-            // after `clear_prepack`) — re-selecting with the same backend
-            // must not redo the sub-byte decode per node.
-            if choice != node.choice || node.cache.is_none() {
+            let choice = backend.select(&node.op, &in_shapes, &in_bits_v);
+            assert!(
+                node.op.supported_kernels().contains(&choice),
+                "node `{}`: backend `{}` selected {choice}, which the op does not support",
+                node.name,
+                backend.name()
+            );
+            if choice != node.choice {
                 node.choice = choice;
-                node.build_prepack();
+                (node.panels, node.prepack_ops) = node.op.prepack(choice);
             }
         }
     }
 
-    /// Drops every node's prepack cache, reverting execution to per-call
-    /// packing (bit-identical, slower) — for RAM-constrained deployments
-    /// that cannot afford the panel copies, and for benchmarking the
-    /// amortization itself.
-    pub fn clear_prepack(&mut self) {
-        for node in &mut self.nodes {
-            node.cache = None;
-            node.prepack_ops = OpCounts::default();
-        }
-    }
-
-    /// Total read-only bytes of all nodes' prepack caches — the flash-side
+    /// Total read-only bytes of all nodes' weight panels — the flash-side
     /// cost of the steady-state packing amortization, reported separately
     /// from the Table-1 flash model ([`QGraph::flash_bytes`]) and from the
     /// Eq. 7 activation RAM ([`QGraph::peak_ram_bytes`]).
@@ -1295,11 +1158,11 @@ impl QGraph {
     ///
     /// One walk computes a whole batch: `input` carries the batch in its
     /// shape's `n` dimension (N stacked NHWC items); every kernel sweeps
-    /// all N samples against the node's prepacked weights, so per-layer
-    /// dispatch, weight-panel streaming and sub-byte weight decoding are
-    /// amortized across the batch, and `logits_out` receives
-    /// `N · classes` values in row-major `(n, classes)` order —
-    /// bit-identical to N single-sample calls (asserted by the
+    /// all N samples against the node's weights, so per-layer dispatch and
+    /// weight-panel streaming are amortized across the batch, and
+    /// `logits_out` receives `N · classes` values in row-major
+    /// `(n, classes)` order — bit-identical to N single-sample calls
+    /// (asserted by the
     /// `batch_matches_single_sample_logits` proptest). Steady-state
     /// batched calls are allocation-free too, once the arena buffers
     /// reached their (batch-scaled) capacities; [`QGraph::peak_ram_bytes`]
@@ -1372,7 +1235,7 @@ impl QGraph {
                     AnyOp::Linear(head) => {
                         head.execute_kernel_into(
                             node.choice,
-                            node.cache.as_ref(),
+                            node.panels.as_ref(),
                             x,
                             arena,
                             logits,
@@ -1382,7 +1245,7 @@ impl QGraph {
                     }
                     op => match op.execute_kernel(
                         node.choice,
-                        node.cache.as_ref(),
+                        node.panels.as_ref(),
                         ins,
                         arena,
                         &mut node_ops,
@@ -1435,23 +1298,6 @@ impl QGraph {
         arena.last_uses = last;
         (output, peak)
     }
-}
-
-/// Validates a backend's selection against the op's supported kernels.
-fn resolve_choice(
-    backend: &dyn Backend,
-    name: &str,
-    op: &AnyOp,
-    in_shapes: &[Shape],
-    in_bits: &[BitWidth],
-) -> KernelChoice {
-    let choice = backend.select(op, in_shapes, in_bits);
-    assert!(
-        op.supported_kernels().contains(&choice),
-        "node `{name}`: backend `{}` selected {choice}, which the op does not support",
-        backend.name()
-    );
-    choice
 }
 
 #[cfg(test)]
@@ -1798,13 +1644,19 @@ mod tests {
     }
 
     #[test]
-    fn push_with_selects_at_build_time() {
+    fn select_kernels_resolves_each_node() {
         let input = Shape::feature_map(5, 5, 2);
         let mut g = QGraph::with_input(input, BitWidth::W8);
-        let backend = crate::TiledBackend::default();
-        g.push_with("dw", depthwise(2, 1), &backend);
-        let pw = g.push_with("pw", pointwise(2, 4, 1), &backend);
-        g.push_node_with("res", identity_add(), &[pw, pw], &backend);
+        g.push("dw", depthwise(2, 1));
+        let pw = g.push("pw", pointwise(2, 4, 1));
+        g.push_node("res", identity_add(), &[pw, pw]);
+        // Pushing resolves nothing and builds nothing.
+        assert!(g
+            .nodes()
+            .iter()
+            .all(|n| n.choice() == KernelChoice::DirectConv));
+        assert_eq!(g.prepacked_bytes(), 0);
+        g.select_kernels(&crate::TiledBackend::default());
         assert_eq!(
             g.kernel_choices(),
             vec![
@@ -1814,14 +1666,23 @@ mod tests {
             ]
         );
         assert_eq!(g.input_decl(), Some((input, BitWidth::W8)));
-        assert_eq!(g.nodes()[1].choice(), KernelChoice::BlockedGemm);
+        // Only the blocked node holds panels.
+        for node in g.nodes() {
+            assert_eq!(
+                node.prepacked().is_some(),
+                node.choice() == KernelChoice::BlockedGemm,
+                "{}",
+                node.name()
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "declared graph input")]
-    fn push_with_requires_declared_input() {
+    fn select_kernels_requires_declared_input() {
         let mut g = QGraph::new();
-        g.push_with("pw", pointwise(2, 4, 1), &crate::TiledBackend::default());
+        g.push("pw", pointwise(2, 4, 1));
+        g.select_kernels(&crate::TiledBackend::default());
     }
 
     #[test]
@@ -1844,7 +1705,8 @@ mod tests {
         let input = Shape::feature_map(5, 5, 2);
         let mut g = QGraph::with_input(input, BitWidth::W8);
         // Depthwise has no GEMM lowering: the selection must be rejected.
-        g.push_with("dw", depthwise(2, 1), &GemmEverywhere);
+        g.push("dw", depthwise(2, 1));
+        g.select_kernels(&GemmEverywhere);
     }
 
     #[test]

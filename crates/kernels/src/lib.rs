@@ -65,10 +65,9 @@ pub use blocked::{im2col_scratch_bytes, PackedPanels};
 pub use conv::QConv2d;
 pub use counter::OpCounts;
 pub use graph::{
-    ActivationArena, AnyOp, GraphNode, GraphRun, LayerRun, OpKind, OpOutput, PrepackedWeights,
-    QGraph, QOp,
+    ActivationArena, AnyOp, GraphNode, GraphRun, LayerRun, OpKind, OpOutput, QGraph, QOp,
 };
-pub use linear::{linear_rescale_of, QLinear};
+pub use linear::QLinear;
 pub use pool::QAvgPool;
 pub use requant::{Requantizer, ThresholdChannel};
 pub use simd::SimdLevel;

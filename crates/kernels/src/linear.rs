@@ -1,7 +1,5 @@
-use crate::{
-    ActivationArena, KernelChoice, OpCounts, PackedPanels, PrepackedWeights, QActivation,
-    QConvWeights, Requantizer,
-};
+use crate::graph::NO_PANELS;
+use crate::{ActivationArena, KernelChoice, OpCounts, PackedPanels, QActivation, QConvWeights};
 use mixq_quant::FixedPointMultiplier;
 
 /// An integer-only fully-connected classifier head.
@@ -12,7 +10,7 @@ use mixq_quant::FixedPointMultiplier;
 /// a common scale is applied first (one fixed-point multiply per class).
 ///
 /// Two kernels compute the same logits and ledger: the scalar `i64` oracle
-/// [`QLinear::execute_into_with`] ([`KernelChoice::DirectConv`]) and, for
+/// [`QLinear::execute_into`] ([`KernelChoice::DirectConv`]) and, for
 /// at most [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN) input features, the
 /// blocked GEMV ([`KernelChoice::BlockedGemm`], see [`crate::blocked`]),
 /// which a graph node selects through its backend.
@@ -81,7 +79,7 @@ impl QLinear {
     /// Panics if the input feature count disagrees.
     pub fn execute(&self, x: &QActivation, ops: &mut OpCounts) -> Vec<i32> {
         let mut logits = Vec::with_capacity(x.shape().n * self.out_features());
-        self.execute_into_with(None, x, &mut logits, ops);
+        self.execute_into(x, &mut logits, ops);
         logits
     }
 
@@ -93,24 +91,14 @@ impl QLinear {
     /// row-major `(n, classes)` order — the head sweeps every sample of
     /// the batch in one call.
     ///
-    /// `wcodes`, when given, is the prepacked weight cache: the codes
-    /// decoded to one per byte in `(c_o, c_i)` order, so sub-byte weights
-    /// skip the per-element mask-and-shift extraction (8-bit weights take
-    /// the equivalent borrow of their packed bytes even without a cache).
-    /// Bit-identical to the uncached path, including the abstract
-    /// [`OpCounts`] ledger.
+    /// 8-bit weights are read from their packed bytes and sub-byte ones
+    /// extracted in place, as the microcontroller reads them, so the call
+    /// allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics if the input feature count disagrees or `wcodes` has the
-    /// wrong length.
-    pub fn execute_into_with(
-        &self,
-        wcodes: Option<&[u8]>,
-        x: &QActivation,
-        logits: &mut Vec<i32>,
-        ops: &mut OpCounts,
-    ) {
+    /// Panics if the input feature count disagrees.
+    pub fn execute_into(&self, x: &QActivation, logits: &mut Vec<i32>, ops: &mut OpCounts) {
         assert_eq!(
             x.shape().item_volume(),
             self.in_features(),
@@ -118,25 +106,11 @@ impl QLinear {
         );
         let ci = self.in_features();
         let co = self.out_features();
-        let owned_w: Vec<u8>;
-        let wflat: &[u8] = match wcodes {
-            Some(w) => {
-                assert_eq!(w.len(), co * ci, "decoded weight cache length");
-                w
-            }
-            None if !self.weights.needs_unpack() => self.weights.as_bytes(),
-            None => {
-                owned_w = self.weights.codes();
-                &owned_w
-            }
-        };
+        // 8-bit operands are read from their bytes and sub-byte ones
+        // extracted per element: no decode buffer, so nothing allocates.
+        let wbytes = (!self.weights.needs_unpack()).then(|| self.weights.as_bytes());
+        let xflat = (!x.needs_unpack()).then(|| x.as_bytes());
         let zx = x.zero_point() as i64;
-        // 8-bit inputs expose their row bytes directly, so the dot product
-        // runs over two flat slices (same order, same arithmetic — hence
-        // bit-identical to the indexed gather). Sub-byte inputs keep the
-        // per-element `get`: the head is a single tiny layer, so a decode
-        // buffer is not worth an allocation here.
-        let xflat: Option<&[u8]> = (!x.needs_unpack()).then(|| x.as_bytes());
         let batch = x.shape().n;
         let w_unpack = self.weights.needs_unpack() as u64;
         let x_unpack = x.needs_unpack() as u64;
@@ -145,18 +119,12 @@ impl QLinear {
         for n in 0..batch {
             for o in 0..co {
                 let zw = self.weights.offset().at(o) as i64;
-                let wrow = &wflat[o * ci..(o + 1) * ci];
                 let mut acc: i64 = self.bq[o] as i64;
-                if let Some(xb) = xflat {
-                    let xrow = &xb[n * ci..(n + 1) * ci];
-                    for (&xv, &wv) in xrow.iter().zip(wrow) {
-                        acc += (xv as i64 - zx) * (wv as i64 - zw);
-                    }
-                } else {
-                    for (i, &wv) in wrow.iter().enumerate() {
-                        let xv = x.get(n, 0, 0, i) as i64;
-                        acc += (xv - zx) * (wv as i64 - zw);
-                    }
+                for i in 0..ci {
+                    let wi = o * ci + i;
+                    let xv = xflat.map_or_else(|| x.get(n, 0, 0, i), |xb| xb[n * ci + i]);
+                    let wv = wbytes.map_or_else(|| self.weights.code_at(wi), |w| w[wi]);
+                    acc += (xv as i64 - zx) * (wv as i64 - zw);
                 }
                 ops.macs += ci as u64;
                 ops.act_loads += ci as u64;
@@ -182,38 +150,28 @@ impl QLinear {
     /// logits into `logits` (cleared in place) — the one dispatch point
     /// of the graph walk and of [`QOp::execute_kernel`](crate::QOp::execute_kernel).
     /// [`KernelChoice::DirectConv`] runs the scalar oracle
-    /// [`QLinear::execute_into_with`] against a decoded-code cache;
-    /// [`KernelChoice::BlockedGemm`] runs the blocked GEMV against the
-    /// node's [`PackedPanels`], drawing its scratch from `arena`. A `None`
-    /// cache packs per call (bit-identical, slower). Both choices produce
-    /// the same logits and ledger.
+    /// [`QLinear::execute_into`]; [`KernelChoice::BlockedGemm`] runs the
+    /// blocked GEMV against the node's [`PackedPanels`], drawing its
+    /// scratch from `arena`. Both choices produce the same logits and
+    /// ledger.
     ///
     /// # Panics
     ///
-    /// Panics if the input feature count disagrees, or if the cached
-    /// panels were built for another shape.
+    /// Panics if the input feature count disagrees, or if a blocked call
+    /// gets no panels or panels built for another shape.
     pub(crate) fn execute_kernel_into(
         &self,
         choice: KernelChoice,
-        cache: Option<&PrepackedWeights>,
+        panels: Option<&PackedPanels>,
         x: &QActivation,
         arena: &mut ActivationArena,
         logits: &mut Vec<i32>,
         ops: &mut OpCounts,
     ) {
         match choice {
-            KernelChoice::DirectConv => {
-                self.execute_into_with(cache.and_then(PrepackedWeights::codes), x, logits, ops);
-            }
+            KernelChoice::DirectConv => self.execute_into(x, logits, ops),
             KernelChoice::BlockedGemm => {
-                let owned;
-                let panels = match cache.and_then(PrepackedWeights::panels) {
-                    Some(p) => p,
-                    None => {
-                        owned = PackedPanels::build(&self.weights, self.in_features());
-                        &owned
-                    }
-                };
+                let panels = panels.expect(NO_PANELS);
                 let mut aux = arena.take_aux();
                 let mut acc = arena.take_acc();
                 self.execute_blocked_into(panels, x, &mut aux, &mut acc, logits, ops);
@@ -221,29 +179,6 @@ impl QLinear {
                 arena.put_aux(aux);
             }
         }
-    }
-
-    /// Predicted class (argmax of the logits).
-    pub fn predict(&self, x: &QActivation, ops: &mut OpCounts) -> usize {
-        let logits = self.execute(x, ops);
-        logits
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, v)| *v)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-}
-
-/// Builds a [`QLinear`] from an ICN-style requantizer's parts (helper for
-/// conversions that treat the classifier like a 1×1 convolution).
-///
-/// Only [`Requantizer::Icn`] carries per-class multipliers; other variants
-/// yield no rescale.
-pub fn linear_rescale_of(requant: &Requantizer) -> Option<Vec<FixedPointMultiplier>> {
-    match requant {
-        Requantizer::Icn { mult, .. } => Some(mult.clone()),
-        _ => None,
     }
 }
 
@@ -314,20 +249,6 @@ mod tests {
         let logits = lin.execute(&feature(&[10], 0), &mut ops);
         assert_eq!(logits, vec![20, 10]);
         assert_eq!(ops.requants, 2);
-    }
-
-    #[test]
-    fn predict_takes_argmax() {
-        let w = QConvWeights::new(
-            Shape::new(3, 1, 1, 1),
-            false,
-            &[0, 1, 3],
-            BitWidth::W4,
-            WeightOffset::PerLayer(0),
-        );
-        let lin = QLinear::new(w, vec![0; 3], None);
-        let mut ops = OpCounts::default();
-        assert_eq!(lin.predict(&feature(&[9], 0), &mut ops), 2);
     }
 
     #[test]

@@ -249,8 +249,9 @@ impl QConvWeights {
         self.packed.get(self.shape.index(co, ky, kx, ci))
     }
 
-    /// Weight code at a linear `(c_o, k_h, k_w, c_i)` row-major index —
-    /// the packed-extraction twin of indexing a decoded-code cache.
+    /// Weight code at a linear `(c_o, k_h, k_w, c_i)` row-major index,
+    /// extracted from the packed bytes in place — how the direct kernels
+    /// read sub-byte weights.
     #[inline]
     pub(crate) fn code_at(&self, i: usize) -> u8 {
         self.packed.get(i)

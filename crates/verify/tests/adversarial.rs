@@ -233,7 +233,8 @@ fn forged_depthwise_gemm_lowering_rejected() {
     // A pointwise conv the tiled backend lowers onto the blocked GEMM
     // verifies clean.
     let mut g = QGraph::with_input(input, BitWidth::W8);
-    g.push_with("pw", conv(false, 1, c), &TiledBackend::default());
+    g.push("pw", conv(false, 1, c));
+    g.select_kernels(&TiledBackend::default());
     assert_eq!(g.kernel_choices(), vec![KernelChoice::BlockedGemm]);
     let report = verify_graph("honest", &g, input, BitWidth::W8);
     assert!(report.ok(), "{}", report.render());
@@ -288,7 +289,8 @@ fn forged_long_head_gemv_rejected() {
     // certified as the one i32 run over its 8 features.
     let input = Shape::feature_map(1, 1, 8);
     let mut g = QGraph::with_input(input, BitWidth::W8);
-    g.push_with("fc", head(8), &TiledBackend::default());
+    g.push("fc", head(8));
+    g.select_kernels(&TiledBackend::default());
     assert_eq!(g.kernel_choices(), vec![KernelChoice::BlockedGemm]);
     let report = verify_graph("honest", &g, input, BitWidth::W8);
     assert!(report.ok(), "{}", report.render());

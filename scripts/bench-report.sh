@@ -2,8 +2,7 @@
 # Emits the machine-readable performance reports at the repo root:
 #
 #   BENCH_batch.json — measured host throughput (samples/sec) of the
-#     residual MobileNet per batch size and backend, the per-call-packing
-#     PR-4 baseline, and the batch-8 speedup of the prepacked tiled path.
+#     residual MobileNet per batch size and backend.
 #   BENCH_walk.json  — the SIMD × workers scaling table of batch-8
 #     evaluation: forced-scalar vs auto-detected SIMD, each with whole
 #     batches sharded across 1, 2 and 4 workers (4-worker target

@@ -9,7 +9,10 @@
 //! im2col expansion from the arena's auxiliary scratch. The network's
 //! depthwise node reads a **4-bit** activation, so the depthwise core's
 //! input decode staging must come from that scratch too, on both
-//! backends, at batch 1 and batch 4.
+//! backends, at batch 1 and batch 4. A conversion with **4-bit weights**
+//! in every block and the head repeats both backends at both batch
+//! sizes: the direct convs and the head read sub-byte weight codes in
+//! place.
 //!
 //! This file installs a counting global allocator, so it deliberately
 //! contains a single test (parallel tests in the same binary would pollute
@@ -172,6 +175,37 @@ fn steady_state_inference_is_allocation_free() {
         "steady-state batch-1 tiled inference must not touch the heap"
     );
     assert_eq!(tiled_single.1, warm_logits, "backends are bit-identical");
+
+    // 4-bit weights in every block and the head: the reference backend's
+    // direct convs and head read the sub-byte codes in place (no node
+    // holds a decoded copy, no call decodes one), the tiled backend's
+    // blocked nodes stream their panels — both allocation-free at batch 1
+    // and 4, and bit-identical.
+    for i in 0..net.num_blocks() {
+        net.set_weight_bits(i, BitWidth::W4);
+    }
+    net.set_linear_weight_bits(BitWidth::W4);
+    let w4_ref = convert(&net, QuantScheme::PerChannelIcn).expect("convertible");
+    let w4_tiled = convert_with_backend(&net, QuantScheme::PerChannelIcn, &TiledBackend::default())
+        .expect("convertible");
+    assert_eq!(w4_ref.prepacked_bytes(), 0, "direct nodes cache nothing");
+    assert!(w4_ref
+        .graph()
+        .head()
+        .is_some_and(|h| h.weights().needs_unpack()));
+    for batch in [1, 4] {
+        let (leaked_ref, logits_ref) = measure_batched(&w4_ref, ds.images(), batch);
+        assert_eq!(
+            leaked_ref, 0,
+            "steady-state batch-{batch} direct W4 inference must not touch the heap"
+        );
+        let (leaked_tiled, logits_tiled) = measure_batched(&w4_tiled, ds.images(), batch);
+        assert_eq!(
+            leaked_tiled, 0,
+            "steady-state batch-{batch} tiled W4 inference must not touch the heap"
+        );
+        assert_eq!(logits_ref, logits_tiled, "backends are bit-identical");
+    }
 }
 
 /// Warm-up then measured batched steady state: returns the minimum

@@ -3,12 +3,17 @@
 //! selected — for both shipped backends — and execution must stay
 //! bit-identical across selections.
 
+use mixq::core::convert::{convert_with_backend, scheme_granularity};
+use mixq::core::memory::QuantScheme;
+use mixq::data::{DatasetSpec, SyntheticKind};
 use mixq::kernels::{
-    im2col_scratch_bytes, AnyOp, Backend, KernelChoice, OpKind, QActivation, QAdd, QAvgPool,
-    QConv2d, QConvWeights, QGraph, QLinear, QOp, ReferenceBackend, Requantizer, TiledBackend,
-    WeightOffset,
+    im2col_scratch_bytes, AnyOp, Backend, KernelChoice, OpKind, PackedPanels, QActivation, QAdd,
+    QAvgPool, QConv2d, QConvWeights, QGraph, QLinear, QOp, ReferenceBackend, Requantizer,
+    TiledBackend, WeightOffset,
 };
 use mixq::mcu::CortexM7CycleModel;
+use mixq::models::micro::mobilenet_like_residual;
+use mixq::nn::qat::QatNetwork;
 use mixq::quant::{BitWidth, FixedPointMultiplier};
 use mixq::tensor::{ConvGeometry, Padding, Shape};
 
@@ -244,33 +249,40 @@ fn scratch_and_ram_models_track_actual_selection() {
     assert_eq!(tiled.peak_scratch_bytes(input, BitWidth::W8), 8 * 8 * 9 * 2);
 }
 
+/// Asserts the one-cache rule on every node: panels (and a one-time
+/// packing ledger) exactly on the blocked-GEMM nodes, nothing elsewhere.
+fn assert_panels_follow_choice(g: &QGraph) {
+    for node in g.nodes() {
+        let blocked = node.choice() == KernelChoice::BlockedGemm;
+        assert_eq!(node.prepacked().is_some(), blocked, "{}", node.name());
+        assert_eq!(
+            node.prepack_ops() != Default::default(),
+            blocked,
+            "{}",
+            node.name()
+        );
+    }
+}
+
 #[test]
 fn prepack_caches_follow_the_selected_kernel() {
-    use mixq::kernels::PrepackedWeights;
     let input = Shape::feature_map(8, 8, 2);
     let mut g = residual_graph(input);
+    // Pushing builds nothing; selection builds the panels of the blocked
+    // nodes only (stem, pointwise, head) — the direct W4 depthwise and the
+    // weight-free ops hold no cache.
+    assert_eq!(g.prepacked_bytes(), 0);
     g.select_kernels(&TiledBackend::default());
-    // BlockedGemm convs and the blocked head cache interleaved panels; the
-    // direct sub-byte depthwise caches decoded codes; weight-free ops cache
-    // nothing.
-    let caches: Vec<Option<&PrepackedWeights>> = g.nodes().iter().map(|n| n.prepacked()).collect();
-    assert!(
-        matches!(caches[0], Some(PrepackedWeights::Panels(_))),
-        "stem"
-    );
-    assert!(
-        matches!(caches[1], Some(PrepackedWeights::Codes(_))),
-        "dw (W4)"
-    );
-    assert!(matches!(caches[2], Some(PrepackedWeights::Panels(_))), "pw");
-    assert!(caches[3].is_none(), "residual add has no weights");
-    assert!(caches[4].is_none(), "pool has no weights");
-    assert!(
-        matches!(caches[5], Some(PrepackedWeights::Panels(_))),
-        "fc (blocked GEMV)"
-    );
-    // One-time packing ledgers exist exactly where a cache exists, and the
-    // cycle model reports them separately from the steady state.
+    assert_panels_follow_choice(&g);
+    let blocked: Vec<&str> = g
+        .nodes()
+        .iter()
+        .filter(|n| n.prepacked().is_some())
+        .map(|n| n.name())
+        .collect();
+    assert_eq!(blocked, ["stem", "pw", "fc"]);
+    // The one-time packing ledgers reach the run, and the cycle model
+    // reports them separately from the steady state.
     let run = g.run(input_act(input));
     let model = CortexM7CycleModel::default();
     let breakdown = model.breakdown_from_runs(&run.layers);
@@ -282,28 +294,59 @@ fn prepack_caches_follow_the_selected_kernel() {
             "{}",
             node.name()
         );
-        assert_eq!(
-            node.prepacked().is_some(),
-            node.prepack_ops() != Default::default()
-        );
     }
     assert!(model.one_time_packing_cycles(&run.layers) > 0);
     assert!(g.prepacked_bytes() > 0);
+    let first: Vec<Option<PackedPanels>> =
+        g.nodes().iter().map(|n| n.prepacked().cloned()).collect();
 
-    // Clearing the caches reverts to per-call packing — bit-identical.
-    let mut cleared = g.clone();
-    cleared.clear_prepack();
-    assert_eq!(cleared.prepacked_bytes(), 0);
-    let run_cleared = cleared.run(input_act(input));
-    assert_eq!(run.logits, run_cleared.logits);
-    // Ledgers agree too: the abstract op counts describe the deployed
-    // algorithm, not the host-side caching.
-    assert_eq!(run.total_ops(), run_cleared.total_ops());
-    // Cleared nodes report no one-time packing.
-    assert!(run_cleared
+    // Retargeting to the reference backend leaves no cache at all, and
+    // the run is bit-identical: the abstract op counts describe the
+    // deployed algorithm, not the host-side caching.
+    let mut retargeted = g.clone();
+    retargeted.select_kernels(&ReferenceBackend);
+    assert_panels_follow_choice(&retargeted);
+    assert_eq!(retargeted.prepacked_bytes(), 0);
+    let run_ref = retargeted.run(input_act(input));
+    assert_eq!(run.logits, run_ref.logits);
+    assert!(run_ref
         .layers
         .iter()
         .all(|l| l.prepack == Default::default()));
+
+    // Retargeting back rebuilds panels equal to the first build, and
+    // re-selecting the same backend keeps them.
+    retargeted.select_kernels(&TiledBackend::default());
+    let rebuilt: Vec<Option<PackedPanels>> = retargeted
+        .nodes()
+        .iter()
+        .map(|n| n.prepacked().cloned())
+        .collect();
+    assert_eq!(rebuilt, first);
+    retargeted.select_kernels(&TiledBackend::default());
+    assert_eq!(retargeted, g);
+
+    // A tiled conversion of a network with sub-byte weights everywhere
+    // builds panels for its blocked nodes only: its direct nodes, the W4
+    // depthwise convs among them, hold no cache and no packing ledger.
+    let spec = mobilenet_like_residual(32, 2, 8, 3);
+    let ds = DatasetSpec::new(SyntheticKind::Bars, 32, 32, 2, 3)
+        .with_samples(2)
+        .generate(5);
+    let mut net = QatNetwork::build(&spec, 11);
+    for i in 0..net.num_blocks() {
+        net.set_weight_bits(i, BitWidth::W4);
+    }
+    net.set_linear_weight_bits(BitWidth::W4);
+    net.calibrate_input(ds.images());
+    net.enable_fake_quant(scheme_granularity(QuantScheme::PerChannelIcn));
+    let tiled = convert_with_backend(&net, QuantScheme::PerChannelIcn, &TiledBackend::default())
+        .expect("calibrated network converts");
+    assert_panels_follow_choice(tiled.graph());
+    assert!(tiled.graph().nodes().iter().any(|n| {
+        n.op().kind() == OpKind::DepthwiseConv && n.choice() == KernelChoice::DirectConv
+    }));
+    assert!(tiled.kernel_choices().contains(&KernelChoice::BlockedGemm));
 }
 
 #[test]
@@ -313,29 +356,9 @@ fn tiled_backend_rates_mirror_cycle_model() {
     // on mixq-mcu). This assertion makes tuning one side without the other
     // fail loudly instead of silently diverging selection from pricing.
     let model = CortexM7CycleModel::default();
-    let backend = TiledBackend::default();
-    assert_eq!(backend.direct_mac_cycles, model.conv_cycles_per_mac);
+    assert_eq!(TiledBackend::DIRECT_MAC_CYCLES, model.conv_cycles_per_mac);
     assert_eq!(
-        backend.blocked_mac_cycles,
+        TiledBackend::BLOCKED_MAC_CYCLES,
         model.blocked_gemm_cycles_per_mac
-    );
-}
-
-#[test]
-fn scratch_limited_backend_falls_back_to_direct() {
-    let input = Shape::feature_map(8, 8, 2);
-    // A ceiling below the stem's expansion but above the pointwise one:
-    // the backend must lower only the pointwise conv.
-    let limited = TiledBackend::default().with_scratch_limit(300);
-    let mut g = residual_graph(input);
-    g.select_kernels(&limited);
-    assert_eq!(g.kernel_choices()[0], KernelChoice::DirectConv);
-    assert_eq!(g.kernel_choices()[2], KernelChoice::BlockedGemm);
-    assert!(g.peak_scratch_bytes(input, BitWidth::W8) <= 300);
-    // Still bit-identical to the unconstrained selections.
-    let full = residual_graph(input);
-    assert_eq!(
-        g.run(input_act(input)).logits,
-        full.run(input_act(input)).logits
     );
 }

@@ -10,8 +10,8 @@
 
 use mixq::core::mixed::BitAssignment;
 use mixq::kernels::{
-    ActivationArena, KernelChoice, OpCounts, OpOutput, PrepackedWeights, QActivation, QAdd,
-    QAvgPool, QConv2d, QConvWeights, QGraph, QLinear, QOp, Requantizer, WeightOffset,
+    ActivationArena, KernelChoice, OpCounts, OpOutput, PackedPanels, QActivation, QAdd, QAvgPool,
+    QConv2d, QConvWeights, QGraph, QLinear, QOp, Requantizer, WeightOffset,
 };
 use mixq::models::{LayerKind, NetworkSpec};
 use mixq::quant::{BitWidth, FixedPointMultiplier};
@@ -118,17 +118,17 @@ pub fn pairwise_peak_bytes(spec: &NetworkSpec, assignment: &BitAssignment) -> us
 }
 
 /// Runs `conv` on the blocked GEMM through the graph's dispatch point,
-/// `QOp::execute_kernel`, with the given prepack cache (`None` packs the
-/// panels per call), returning the output and the ledger it charged.
+/// `QOp::execute_kernel`, against the given panels, returning the output
+/// and the ledger it charged.
 pub fn run_blocked(
     conv: &QConv2d,
-    cache: Option<&PrepackedWeights>,
+    panels: &PackedPanels,
     x: &QActivation,
 ) -> (QActivation, OpCounts) {
     let mut ops = OpCounts::default();
     let out = conv.execute_kernel(
         KernelChoice::BlockedGemm,
-        cache,
+        Some(panels),
         &[x],
         &mut ActivationArena::new(),
         &mut ops,

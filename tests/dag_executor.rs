@@ -186,9 +186,10 @@ fn mobilenet_like_residual_runs_integer_inference_end_to_end() {
 /// resolved choice and prepacked weights, recycling every tensor at its
 /// last use, as perfbench's traced walk does — reproduces `QGraph::run`:
 /// the logits, and each node's ledger and activation bytes, on both
-/// backends at batch 1 and 4. The library's own loop runs the classifier
-/// head through `QLinear::execute_into_with`, so this is what keeps the
-/// head's `execute_kernel` under test.
+/// backends at batch 1 and 4. The library's own loop writes the
+/// classifier head's logits straight into the caller's buffer, never
+/// through `QOp::execute_kernel`, so this is what keeps the head's
+/// `execute_kernel` under test.
 #[test]
 fn node_by_node_replay_matches_run() {
     let spec = mobilenet_like_residual(32, 2, 8, 3);

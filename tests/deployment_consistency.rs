@@ -82,7 +82,7 @@ fn blocked_path_matches_direct_on_converted_network() {
         assert!(!layer.weights().is_depthwise());
         let mut od = OpCounts::default();
         let direct = layer.execute(&x, &mut od);
-        let (blocked, ob) = common::run_blocked(layer, None, &x);
+        let (blocked, ob) = common::run_blocked(layer, &layer.prepack_panels(), &x);
         assert_eq!(direct, blocked, "sample {i}");
         assert_eq!(
             ob,

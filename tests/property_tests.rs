@@ -11,9 +11,9 @@ use proptest::prelude::*;
 use mixq::core::memory::{MemoryBudget, QuantScheme};
 use mixq::core::mixed::{assign_bits, MixedPrecisionConfig};
 use mixq::kernels::{
-    ActivationArena, AnyOp, Backend, KernelChoice, OpCounts, OpOutput, PrepackedWeights,
-    QActivation, QConv2d, QConvWeights, QGraph, QLinear, QOp, ReferenceBackend, Requantizer,
-    SimdLevel, ThresholdChannel, TiledBackend, WeightOffset,
+    ActivationArena, AnyOp, Backend, KernelChoice, OpCounts, OpOutput, QActivation, QConv2d,
+    QConvWeights, QGraph, QLinear, QOp, ReferenceBackend, Requantizer, SimdLevel, ThresholdChannel,
+    TiledBackend, WeightOffset,
 };
 use mixq::models::{LayerSpec, NetworkSpec};
 use mixq::quant::{BitWidth, FixedPointMultiplier, PackedTensor, QuantParams};
@@ -484,9 +484,9 @@ proptest! {
         let mut od = OpCounts::default();
         let direct = conv.execute(&x, &mut od);
         // The blocked kernel as a graph node runs it: through the dispatch
-        // point, against the prepack cache.
-        let (cache, _) = conv.prepack(KernelChoice::BlockedGemm);
-        let (blocked, ob) = common::run_blocked(&conv, cache.as_ref(), &x);
+        // point, against the panels the node caches.
+        let (panels, _) = conv.prepack(KernelChoice::BlockedGemm);
+        let (blocked, ob) = common::run_blocked(&conv, &panels.expect("blocked panels"), &x);
         prop_assert_eq!(&direct, &blocked);
         prop_assert_eq!(ob, common::blocked_ledger(&conv, &x, &od));
     }
@@ -604,10 +604,9 @@ proptest! {
         per_channel in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        // The prepacked-panel path must reproduce the per-call-packing
-        // blocked kernel bit for bit — output codes AND abstract ledger —
-        // and the direct oracle's codes, across shapes, strides,
-        // bit-widths, zero-points and batch sizes.
+        // The prepacked-panel path must reproduce the direct oracle's
+        // codes and the closed-form blocked ledger, across shapes,
+        // strides, bit-widths, zero-points and batch sizes.
         let wshape = Shape::new(co, k, k, ci);
         let wcodes: Vec<u8> = (0..wshape.volume())
             .map(|i| ((i as u64 * 31 + seed * 7) % wbits.levels() as u64) as u8)
@@ -638,13 +637,10 @@ proptest! {
         let x = QActivation::from_codes(in_shape, &codes, xbits, zx.min(xbits.qmax() as u8));
         let mut o_direct = OpCounts::default();
         let panels = conv.prepack_panels();
-        let (uncached, o_uncached) = common::run_blocked(&conv, None, &x);
-        let (cached, o_cached) =
-            common::run_blocked(&conv, Some(&PrepackedWeights::Panels(panels.clone())), &x);
+        let (blocked, o_blocked) = common::run_blocked(&conv, &panels, &x);
         let direct = conv.execute(&x, &mut o_direct);
-        prop_assert_eq!(&uncached, &cached);
-        prop_assert_eq!(o_uncached, o_cached);
-        prop_assert_eq!(&direct, &cached);
+        prop_assert_eq!(&direct, &blocked);
+        prop_assert_eq!(o_blocked, common::blocked_ledger(&conv, &x, &o_direct));
         // The artifact reports a non-trivial read-only footprint.
         prop_assert!(panels.bytes() >= wshape.volume());
         prop_assert_eq!(panels.k(), k * k * ci);
@@ -1091,8 +1087,8 @@ proptest! {
         kind in 0usize..3, // 0 = ICN, 1 = folded per-layer, 2 = thresholds
         seed in 0u64..1000,
     ) {
-        // Every route into the depthwise kernel — per-call packed weights
-        // and the decoded-weight prepack with caller staging — at every
+        // Every route into the depthwise kernel — the one-shot `execute`
+        // and the graph's dispatch point with arena staging — at every
         // SIMD level the host runs, against an independently written naive
         // loop: codes and ledger. Channel counts cross both the
         // narrow-layer pixel grouping (c ≤ 32) and the 64-channel block;
@@ -1160,13 +1156,12 @@ proptest! {
             let y = conv.execute(&x, &mut ops);
             prop_assert_eq!(y.codes(), want.clone(), "{:?} codes", level);
             prop_assert_eq!(ops, want_ops, "{:?} ledger", level);
-            let cache = PrepackedWeights::Codes(conv.weights().codes());
             let mut ops = OpCounts::default();
-            let out = conv.execute_kernel(KernelChoice::DirectConv, Some(&cache), &[&x],
+            let out = conv.execute_kernel(KernelChoice::DirectConv, None, &[&x],
                                           &mut ActivationArena::new(), &mut ops);
             let OpOutput::Act(y) = out else { unreachable!("a convolution yields an activation") };
-            prop_assert_eq!(y.codes(), want.clone(), "{:?} prepacked codes", level);
-            prop_assert_eq!(ops, want_ops, "{:?} prepacked ledger", level);
+            prop_assert_eq!(y.codes(), want.clone(), "{:?} dispatched codes", level);
+            prop_assert_eq!(ops, want_ops, "{:?} dispatched ledger", level);
         }
         simd::set_forced(None);
     }
