@@ -224,9 +224,10 @@ fn bench_conv_dataflows() {
 /// time actually go between the im2col gather, the dot-product core, the
 /// requantization epilogue and the sub-byte pack/unpack? The phases are
 /// timed in isolation with the same operands the fused kernel sees, so
-/// the section shows directly what the vectorized epilogue and the SIMD
-/// pack/unpack kernels removed from the post-GEMM tail (force
-/// `MIXQ_FORCE_SCALAR=1` to compare against the scalar reference).
+/// the section shows directly what the vectorized epilogue removed from
+/// the post-GEMM tail (force `MIXQ_FORCE_SCALAR=1` to compare against the
+/// scalar reference). Pack/unpack runs one portable loop per width on
+/// every host, so its W4 and W2 rows do not move with the SIMD level.
 fn bench_phase_breakdown() {
     use mixq_kernels::simd::{self, requant as vreq};
     use mixq_quant::PackedTensor;
@@ -240,7 +241,7 @@ fn bench_phase_breakdown() {
     let level = simd::active_level();
 
     // Phase 1: the im2col gather (sub-byte input → exercises the staged
-    // one-shot SIMD decode; 8-bit input → the pure memcpy gather).
+    // one-shot word decode; 8-bit input → the pure memcpy gather).
     let mut scratch = Vec::new();
     for (name, x) in [("im2col_w4_in", &x4), ("im2col_w8_in", &x8)] {
         let us = time_us(SAMPLES, || {
@@ -287,19 +288,23 @@ fn bench_phase_breakdown() {
     });
     report("phase_breakdown", "requant_scalar", us);
 
-    // Phase 4: sub-byte pack/unpack of the produced code volume.
-    let mut packed = Vec::new();
-    let us = time_us(SAMPLES, || {
-        packed =
-            PackedTensor::pack_into(black_box(&codes), BitWidth::W4, std::mem::take(&mut packed))
+    // Phase 4: sub-byte pack/unpack of the produced code volume, at both
+    // sub-byte widths (the codes masked to each width's range).
+    for bits in [BitWidth::W4, BitWidth::W2] {
+        let mask = bits.qmax() as u8;
+        let narrow: Vec<u8> = codes.iter().map(|&c| c & mask).collect();
+        let mut packed = Vec::new();
+        let us = time_us(SAMPLES, || {
+            packed = PackedTensor::pack_into(black_box(&narrow), bits, std::mem::take(&mut packed))
                 .into_bytes();
-        packed.len()
-    });
-    report("phase_breakdown", "pack_w4", us);
-    let tensor = PackedTensor::pack(&codes, BitWidth::W4);
-    let mut unpacked = vec![0u8; codes.len()];
-    let us = time_us(SAMPLES, || tensor.unpack_into(black_box(&mut unpacked)));
-    report("phase_breakdown", "unpack_w4", us);
+            packed.len()
+        });
+        report("phase_breakdown", &format!("pack_w{}", bits.bits()), us);
+        let tensor = PackedTensor::pack(&narrow, bits);
+        let mut unpacked = vec![0u8; narrow.len()];
+        let us = time_us(SAMPLES, || tensor.unpack_into(black_box(&mut unpacked)));
+        report("phase_breakdown", &format!("unpack_w{}", bits.bits()), us);
+    }
 }
 
 /// The requantization epilogue alone, in ns per output element: the

@@ -1,7 +1,7 @@
 use mixq_quant::{BitWidth, FixedPointMultiplier};
 use mixq_tensor::Shape;
 
-use crate::{simd, OpCounts, QActivation};
+use crate::{OpCounts, QActivation};
 
 /// The requantizing residual add that joins two graph branches — the
 /// integer lowering of a MobileNetV2-style skip connection
@@ -195,16 +195,10 @@ impl QAdd {
                 lut_a[q] = self.ma.apply(q as i32 - za) as i64;
                 lut_b[q] = self.mb.apply(q as i32 - zb) as i64;
             }
-            simd::requant::qadd_lut(
-                simd::active_level(),
-                &lut_a,
-                &lut_b,
-                a.as_bytes(),
-                b.as_bytes(),
-                zy,
-                qmax,
-                out_codes,
-            );
+            let pairs = a.as_bytes().iter().zip(b.as_bytes());
+            for (out, (&qa, &qb)) in out_codes.iter_mut().zip(pairs) {
+                *out = (zy + lut_a[qa as usize] + lut_b[qb as usize]).clamp(0, qmax) as u8;
+            }
         } else {
             let mut i = 0usize;
             for n_ in 0..shape.n {
@@ -273,6 +267,54 @@ mod tests {
         assert_eq!(ops.act_stores, 3);
         assert_eq!(ops.unpacks, 6, "both 4-bit branches unpack");
         assert_eq!(ops.macs, 0, "adds are MAC-free");
+    }
+
+    #[test]
+    fn lut_path_matches_per_element_oracle() {
+        // Every pair of 4-bit codes, once as W4 activations (the per-element
+        // `apply` path) and once as W8 activations (the LUT loop).
+        let qa: Vec<u8> = (0..256).map(|i| (i % 16) as u8).collect();
+        let qb: Vec<u8> = (0..256).map(|i| (i / 16) as u8).collect();
+        // (S_a, S_b, S_y, Z_y, Q, whether the unclamped sums leave
+        // [0, qmax] on both sides).
+        let cases = [
+            (1.0, 1.0, 1.0, 0, BitWidth::W8, false),
+            (0.3, 0.7, 0.5, 1, BitWidth::W8, false),
+            (6.0, 9.0, 0.25, 128, BitWidth::W8, true),
+            (0.9, 1.7, 0.3, 7, BitWidth::W4, true),
+            (0.5, 0.25, 1.0, 2, BitWidth::W2, true),
+        ];
+        for (sa, sb, sy, zy, bits, saturates) in cases {
+            let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+            for (za, zb) in [(0, 0), (15, 3), (8, 15)] {
+                let add = QAdd::from_scales(sa, sb, sy, za, zb, zy, bits);
+                let (ma, mb) = add.multipliers();
+                for (&a, &b) in qa.iter().zip(&qb) {
+                    let v = zy + ma.apply(a as i32 - za as i32) + mb.apply(b as i32 - zb as i32);
+                    (lo, hi) = (lo.min(v), hi.max(v));
+                }
+                let (mut ops4, mut ops8) = (OpCounts::default(), OpCounts::default());
+                let y4 = add.execute(
+                    &act(&qa, BitWidth::W4, za),
+                    &act(&qb, BitWidth::W4, zb),
+                    &mut ops4,
+                );
+                let y8 = add.execute(
+                    &act(&qa, BitWidth::W8, za),
+                    &act(&qb, BitWidth::W8, zb),
+                    &mut ops8,
+                );
+                assert_eq!(y8.codes(), y4.codes(), "{bits} ({za}, {zb})");
+                assert_eq!(ops8.unpacks, 0);
+                assert_eq!(OpCounts { unpacks: 0, ..ops4 }, ops8, "{bits} ({za}, {zb})");
+            }
+            if saturates {
+                assert!(
+                    lo < 0 && hi > bits.qmax() as i32,
+                    "{bits}: sums {lo}..={hi} do not saturate at both ends"
+                );
+            }
+        }
     }
 
     #[test]

@@ -283,7 +283,7 @@ impl QConv2d {
         data.clear();
         data.resize(rows * k, 0);
         let loads = if x.needs_unpack() {
-            // Sub-byte staging: decode the whole input once (SIMD unpack)
+            // Sub-byte staging: decode the whole input once (word unpack)
             // into the slack of the scratch buffer, then gather rows from
             // the flat decode instead of extracting bits per element. Same
             // bytes and the same abstract ledger — `unpacks` still charges

@@ -28,10 +28,11 @@
 //! steady state.
 //!
 //! Host-side execution speed is independent of that model: the blocked
-//! GEMM, depthwise and [`QAdd`] nodes requantize their accumulators
-//! through the vectorized epilogue in [`crate::simd::requant`] (and
-//! sub-byte activations pack/unpack through the SIMD kernels in
-//! `mixq_quant::packing`), while codes **and** ledger stay bit-identical
+//! GEMM and depthwise nodes requantize their accumulators through the
+//! vectorized epilogue in [`crate::simd::requant`], [`QAdd`] joins 8-bit
+//! branches through a lookup-table loop, and sub-byte activations
+//! pack/unpack through one portable shift-and-mask loop per width in
+//! `mixq_quant::packing`, while codes **and** ledger stay bit-identical
 //! to the scalar reference at every [`crate::simd::SimdLevel`].
 //!
 //! # Examples

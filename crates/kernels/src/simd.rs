@@ -154,7 +154,9 @@ pub fn detected_level() -> SimdLevel {
 /// Pins the active level for the whole process (`None` restores
 /// detection). Benches and tests use this to measure forced-scalar and
 /// auto-detected paths in one run; all levels are bit-identical, so a
-/// mid-inference switch changes timing, never results.
+/// mid-inference switch changes timing, never results. Sub-byte
+/// pack/unpack (`mixq_quant::packing`) has no level to pin: it runs one
+/// portable loop on every host.
 ///
 /// # Panics
 ///
@@ -169,10 +171,6 @@ pub fn set_forced(level: Option<SimdLevel>) {
         );
     }
     FORCED.store(level.map_or(0, SimdLevel::to_code), Ordering::Release);
-    // The sub-byte pack/unpack kernels live in `mixq-quant` (which cannot
-    // depend on this crate); keep its independent force switch in step so
-    // "forced scalar" means the whole pipeline, packing included.
-    mixq_quant::packing::set_force_scalar(level == Some(SimdLevel::Scalar));
 }
 
 /// The level kernels should dispatch to *now*: the [`set_forced`]

@@ -19,7 +19,8 @@
 //! scalar `Requantizer::apply` loop for whatever the vector kernels cannot
 //! prove exact. Both requantizing entries take `i32` accumulators:
 //! [`apply_gemm_row`] the blocked GEMM's rows, [`apply_i32_block`] the
-//! depthwise core's blocks. [`qadd_lut`] is the residual add's table path.
+//! depthwise core's blocks. The residual add's table loop lives in
+//! [`crate::QAdd::execute_codes`].
 //!
 //! # The 8 × i32 fixed-point kernel (AVX2)
 //!
@@ -564,36 +565,6 @@ pub fn apply_gemm_row(
     }
 }
 
-/// The `QAdd` flat fast path: `out[i] = clamp(zy + lut_a[a[i]] + lut_b[b[i]],
-/// 0, qmax)`. Pure compute — the caller charges the ledger (which models the
-/// MCU's two per-element requants, not the host LUT strategy).
-#[allow(clippy::too_many_arguments)]
-pub fn qadd_lut(
-    level: SimdLevel,
-    lut_a: &[i64; 256],
-    lut_b: &[i64; 256],
-    a: &[u8],
-    b: &[u8],
-    zy: i64,
-    qmax: i64,
-    out: &mut [u8],
-) {
-    assert_eq!(a.len(), out.len(), "a/out length mismatch");
-    assert_eq!(b.len(), out.len(), "b/out length mismatch");
-    let done = match level {
-        #[cfg(target_arch = "x86_64")]
-        // 4×64-bit gathers only pay on AVX2; at 128 bits (SSE2/NEON) the
-        // scalar LUT loop is already load-bound and branch-free.
-        // SAFETY: AVX2 positively detected (`level` comes from runtime
-        // feature detection); LUT indices are u8 into [i64; 256].
-        SimdLevel::Avx2 => unsafe { x86::qadd_avx2(lut_a, lut_b, a, b, zy, qmax, out) },
-        _ => 0,
-    };
-    for i in done..out.len() {
-        out[i] = (zy + lut_a[a[i] as usize] + lut_b[b[i] as usize]).clamp(0, qmax) as u8;
-    }
-}
-
 /// Dispatches the `i32`-accumulator vector kernel (see
 /// [`apply_i32_block`]); returns how many leading elements were handled.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
@@ -712,13 +683,6 @@ mod x86 {
     use super::{oracle, PlanKind, RequantPlan};
     use crate::requant::Requantizer;
     use std::arch::x86_64::*;
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn clamp64_avx2(x: __m256i, lo: __m256i, hi: __m256i) -> __m256i {
-        let x = _mm256_blendv_epi8(x, hi, _mm256_cmpgt_epi64(x, hi));
-        _mm256_blendv_epi8(x, lo, _mm256_cmpgt_epi64(lo, x))
-    }
 
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -985,60 +949,6 @@ mod x86 {
                 n
             }
         }
-    }
-
-    /// `QAdd` LUT kernel: widen 4 codes to qword indices, gather both
-    /// per-operand LUTs, add, clamp.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; `a` and `b` are at least as long as `out`.
-    pub unsafe fn qadd_avx2(
-        lut_a: &[i64; 256],
-        lut_b: &[i64; 256],
-        a: &[u8],
-        b: &[u8],
-        zy: i64,
-        qmax: i64,
-        out: &mut [u8],
-    ) -> usize {
-        qadd_avx2_impl(lut_a, lut_b, a, b, zy, qmax, out)
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn qadd_avx2_impl(
-        lut_a: &[i64; 256],
-        lut_b: &[i64; 256],
-        a: &[u8],
-        b: &[u8],
-        zy: i64,
-        qmax: i64,
-        out: &mut [u8],
-    ) -> usize {
-        let n = out.len() & !3;
-        let zyv = _mm256_set1_epi64x(zy);
-        let qmaxv = _mm256_set1_epi64x(qmax);
-        let zero = _mm256_setzero_si256();
-        for i in (0..n).step_by(4) {
-            let qa = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(i32::from_le_bytes([
-                a[i],
-                a[i + 1],
-                a[i + 2],
-                a[i + 3],
-            ])));
-            let qb = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(i32::from_le_bytes([
-                b[i],
-                b[i + 1],
-                b[i + 2],
-                b[i + 3],
-            ])));
-            let ga = _mm256_i64gather_epi64::<8>(lut_a.as_ptr(), qa);
-            let gb = _mm256_i64gather_epi64::<8>(lut_b.as_ptr(), qb);
-            let s = _mm256_add_epi64(_mm256_add_epi64(zyv, ga), gb);
-            store4_codes(clamp64_avx2(s, zero, qmaxv), out.as_mut_ptr().add(i));
-        }
-        n
     }
 }
 
@@ -1694,29 +1604,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn qadd_lut_matches_scalar() {
-        let mut s = 77u64;
-        let mut lut_a = [0i64; 256];
-        let mut lut_b = [0i64; 256];
-        for i in 0..256 {
-            lut_a[i] = lcg(&mut s) as i64 % 1000 - 500;
-            lut_b[i] = lcg(&mut s) as i64 % 1000 - 500;
-        }
-        let a: Vec<u8> = (0..103).map(|_| lcg(&mut s) as u8).collect();
-        let b: Vec<u8> = (0..103).map(|_| lcg(&mut s) as u8).collect();
-        let (zy, qmax) = (17i64, 255i64);
-        let mut want = vec![0u8; 103];
-        for i in 0..103 {
-            want[i] = (zy + lut_a[a[i] as usize] + lut_b[b[i] as usize]).clamp(0, qmax) as u8;
-        }
-        for lv in levels() {
-            let mut got = vec![0u8; 103];
-            qadd_lut(lv, &lut_a, &lut_b, &a, &b, zy, qmax, &mut got);
-            assert_eq!(got, want, "qadd differs at {lv:?}");
         }
     }
 

@@ -28,11 +28,12 @@ use mixq_quant::BitWidth;
 /// Host SIMD levels and batch-sharding worker counts never feed this
 /// model, so modeled cycles are invariant under every `MIXQ_FORCE_SCALAR`
 /// setting and worker count. That invariance extends to the vectorized
-/// requantization epilogue and SIMD sub-byte pack/unpack
-/// (`mixq_kernels::simd::requant`, `mixq_quant::packing`): those kernels
-/// charge the abstract per-element ledger — `requants`, `threshold_cmps`,
-/// `unpacks` — exactly as the scalar reference does, so the modeled MCU
-/// cost never sees how the host computed the codes.
+/// requantization epilogue (`mixq_kernels::simd::requant`) and the
+/// residual add's lookup-table loop: they charge the abstract per-element
+/// ledger — `requants`, `threshold_cmps`, `unpacks` — exactly as the
+/// scalar reference does, and sub-byte pack/unpack (`mixq_quant::packing`)
+/// runs one portable loop on every host, so the modeled MCU cost never
+/// sees how the host computed the codes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CortexM7CycleModel {
     /// Cycles per MAC, standard/pointwise convolution (8-bit operands,

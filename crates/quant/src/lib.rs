@@ -10,7 +10,8 @@
 //! * [`fixedpoint`] — the `m = m0 · 2^{n0}` decomposition used by the ICN
 //!   layer (Eq. 5), with `0.5 ≤ |m0| < 1` and a Q31 integer mantissa.
 //! * [`packing`] — sub-byte bit packing so 4-/2-bit tensors really occupy
-//!   `Q/8` bytes per element, as on the microcontroller.
+//!   `Q/8` bytes per element, as on the microcontroller, with one portable
+//!   shift-and-mask loop per width.
 //!
 //! All arithmetic on the deployment path is integer-only; floats appear only
 //! where the paper's fake-quantized training graph uses them.
@@ -27,11 +28,7 @@
 //! assert!(back.abs() < q.scale()); // within one step of zero
 //! ```
 
-// `deny` rather than `forbid`: the SIMD sub-byte pack/unpack kernels in
-// `packing::simd` need one scoped `allow(unsafe_code)` for their
-// feature-detected intrinsics (same discipline as `mixq-kernels::simd` —
-// every unsafe call sits behind a positive runtime CPU-feature check).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod affine;

@@ -6,27 +6,14 @@
 //! [`PackedTensor`]s directly, paying the unpack cost the cycle model
 //! accounts for.
 //!
-//! The pack/unpack loops are byte-shuffle bound, so they get dedicated
-//! 128-bit SIMD kernels (the private `simd` module below): nibble/crumb
-//! interleave via
-//! shifts+masks, the host-side analogue of the PULP-NN `bitextract`
-//! unpacking (arXiv:2007.07759). They are bit-exact by construction (pure
-//! bit rearrangement, no arithmetic), validated against the scalar loops in
-//! the tests, and disabled by [`set_force_scalar`] / `MIXQ_FORCE_SCALAR` so
-//! the forced-scalar CI leg covers the portable path end to end.
+//! The pack/unpack loops are plain shifts and masks over whole bytes, the
+//! host-side analogue of the PULP-NN `bitextract` unpacking
+//! (arXiv:2007.07759): one portable loop per width, which the compiler
+//! vectorizes at the baseline ISA of every target.
 
 use std::fmt;
 
 use crate::BitWidth;
-
-/// Disables the SIMD pack/unpack kernels for the whole process (the scalar
-/// loops are always the reference semantics). `mixq-kernels` forwards its
-/// `simd::set_forced(Some(Scalar))` pin here so "forced scalar" covers the
-/// packing stage too; the `MIXQ_FORCE_SCALAR` environment variable is
-/// honored independently at first use.
-pub fn set_force_scalar(force: bool) {
-    simd::set_force_scalar(force);
-}
 
 /// A bit-packed buffer of unsigned `Q`-bit codes.
 ///
@@ -63,16 +50,18 @@ impl PackedTensor {
         }
     }
 
-    /// Packs unsigned codes reusing a caller-provided byte buffer (cleared
-    /// and resized in place), so steady-state inference can recycle packed
-    /// storage instead of allocating per tensor.
+    /// Packs unsigned codes reusing a caller-provided byte buffer (resized
+    /// in place and overwritten), so steady-state inference can recycle
+    /// packed storage instead of allocating per tensor.
     ///
     /// # Panics
     ///
     /// Panics if any code exceeds `2^Q − 1`.
     pub fn pack_into(codes: &[u8], bits: BitWidth, mut storage: Vec<u8>) -> Self {
-        storage.clear();
-        storage.resize(bits.bytes_for(codes.len()), 0);
+        // Packing overwrites every byte, so only growth needs a fill.
+        let n = bits.bytes_for(codes.len());
+        storage.truncate(n);
+        storage.resize(n, 0);
         pack_codes(codes, bits, &mut storage);
         PackedTensor {
             bytes: storage,
@@ -120,11 +109,11 @@ impl PackedTensor {
     #[inline]
     pub fn get(&self, i: usize) -> u8 {
         assert!(i < self.len, "index {i} out of range (len {})", self.len);
-        let q = self.bits.bits() as usize;
-        let per_byte = 8 / q;
-        let byte = self.bytes[i / per_byte];
-        let offset = (i % per_byte) * q;
-        (byte >> offset) & self.bits.qmax() as u8
+        if self.bits == BitWidth::W8 {
+            return self.bytes[i];
+        }
+        let (byte, offset) = slot(i, self.bits);
+        (self.bytes[byte] >> offset) & self.bits.qmax() as u8
     }
 
     /// Unpacks the whole buffer back to one code per byte.
@@ -146,380 +135,106 @@ impl PackedTensor {
     }
 }
 
-/// Packs `codes` into the pre-zeroed `bytes` buffer (sized
-/// `bits.bytes_for(codes.len())`), dispatching to the SIMD kernels for the
-/// sub-byte widths when available. Panic semantics match the scalar loop:
-/// the *first* out-of-range code trips the assert.
-fn pack_codes(codes: &[u8], bits: BitWidth, bytes: &mut [u8]) {
-    debug_assert_eq!(bytes.len(), bits.bytes_for(codes.len()));
-    if bits == BitWidth::W8 {
-        // One code per byte and qmax = 255: a straight copy, nothing to
-        // validate.
-        bytes.copy_from_slice(codes);
-        return;
-    }
-    let done = if simd::enabled() {
-        simd::pack(codes, bits, bytes)
-    } else {
-        0
+/// Byte index and LSB-first bit offset of logical element `i`. A byte
+/// holds `2^lg` codes (`lg` = 0, 1, 2 at W8, W4, W2), so both are a shift
+/// and a mask.
+#[inline]
+fn slot(i: usize, bits: BitWidth) -> (usize, usize) {
+    let lg = match bits {
+        BitWidth::W8 => 0,
+        BitWidth::W4 => 1,
+        BitWidth::W2 => 2,
     };
-    pack_scalar_tail(&codes[done..], bits, bytes, done);
+    (i >> lg, (i & ((1 << lg) - 1)) << (3 - lg))
 }
 
-/// The portable LSB-first packing loop, starting at logical element
-/// `start` (whose target bytes must be zero).
-fn pack_scalar_tail(codes: &[u8], bits: BitWidth, bytes: &mut [u8], start: usize) {
+/// Packs `codes` into `bytes` (sized `bits.bytes_for(codes.len())`,
+/// every byte overwritten): one loop per width over whole bytes
+/// (W4 code pairs, W2 8-code `u64` words folded by shifts and masks), then
+/// the sub-byte tail. Every code is ORed into one range byte; only when it
+/// exceeds `qmax` does [`reject`] rescan, so the *first* out-of-range code
+/// trips the assert.
+fn pack_codes(codes: &[u8], bits: BitWidth, bytes: &mut [u8]) {
+    debug_assert_eq!(bytes.len(), bits.bytes_for(codes.len()));
+    let (whole, mut seen) = match bits {
+        // One code per byte and qmax = 255: a straight copy, nothing to
+        // validate.
+        BitWidth::W8 => return bytes.copy_from_slice(codes),
+        BitWidth::W4 => {
+            let mut seen = 0u8;
+            for (b, pair) in bytes.iter_mut().zip(codes.chunks_exact(2)) {
+                // The fixed-size pair is what lets the loop vectorize.
+                let [lo, hi]: [u8; 2] = pair.try_into().expect("code pair");
+                *b = lo | hi << 4;
+                seen |= lo | hi;
+            }
+            (codes.len() & !1, seen)
+        }
+        BitWidth::W2 => {
+            let mut seen = 0u64;
+            for (b, word) in bytes.chunks_exact_mut(2).zip(codes.chunks_exact(8)) {
+                let v = u64::from_le_bytes(word.try_into().expect("8-code word"));
+                seen |= v;
+                // Code pairs into nibbles at u16, nibble pairs into bytes
+                // at u32: bytes 0 and 4 of `u` hold the two packed bytes.
+                let t = (v | v >> 6) & 0x000F_000F_000F_000F;
+                let u = (t | t >> 12) & 0x0000_00FF_0000_00FF;
+                b[0] = u as u8;
+                b[1] = (u >> 32) as u8;
+            }
+            let seen = seen.to_le_bytes().into_iter().fold(0, |acc, v| acc | v);
+            (codes.len() & !7, seen)
+        }
+    };
+    bytes[slot(whole, bits).0..].fill(0);
+    for (i, &code) in codes.iter().enumerate().skip(whole) {
+        let (byte, offset) = slot(i, bits);
+        bytes[byte] |= code << offset;
+        seen |= code;
+    }
+    if seen > bits.qmax() as u8 {
+        reject(codes, bits);
+    }
+}
+
+/// The cold path of [`pack_codes`]: some code exceeds `qmax`, so rescan
+/// in order and let the first offender trip the assert.
+#[cold]
+#[inline(never)]
+fn reject(codes: &[u8], bits: BitWidth) -> ! {
     let qmax = bits.qmax() as u8;
-    let q = bits.bits() as usize;
-    let per_byte = 8 / q;
-    for (j, &code) in codes.iter().enumerate() {
+    for &code in codes {
         assert!(
             code <= qmax,
             "code {code} exceeds {qmax} for {bits} packing"
         );
-        let i = start + j;
-        bytes[i / per_byte] |= code << ((i % per_byte) * q);
     }
+    unreachable!("the codes' OR exceeds {qmax} but no code does")
 }
 
-/// Unpacks exactly `out.len()` codes from `bytes`.
+/// Unpacks exactly `out.len()` codes from `bytes`: one loop per width over
+/// whole bytes, then the sub-byte tail.
 fn unpack_codes(bytes: &[u8], bits: BitWidth, out: &mut [u8]) {
-    if bits == BitWidth::W8 {
-        out.copy_from_slice(&bytes[..out.len()]);
-        return;
-    }
-    let done = if simd::enabled() {
-        simd::unpack(bytes, bits, out)
-    } else {
-        0
+    let whole = match bits {
+        BitWidth::W8 => return out.copy_from_slice(&bytes[..out.len()]),
+        BitWidth::W4 => {
+            for (o, &b) in out.chunks_exact_mut(2).zip(bytes) {
+                o.copy_from_slice(&[b & 15, b >> 4]);
+            }
+            out.len() & !1
+        }
+        BitWidth::W2 => {
+            for (o, &b) in out.chunks_exact_mut(4).zip(bytes) {
+                let v = b as u32;
+                o.copy_from_slice(&((v | v << 6 | v << 12 | v << 18) & 0x0303_0303).to_le_bytes());
+            }
+            out.len() & !3
+        }
     };
-    let q = bits.bits() as usize;
-    let per_byte = 8 / q;
     let mask = bits.qmax() as u8;
-    for (i, dst) in out.iter_mut().enumerate().skip(done) {
-        let byte = bytes[i / per_byte];
-        let offset = (i % per_byte) * q;
-        *dst = (byte >> offset) & mask;
-    }
-}
-
-/// 128-bit nibble/crumb interleave kernels.
-///
-/// One SSE2-instruction kernel serves every x86_64 (AVX2 adds nothing for
-/// 16-byte shuffle work — the cross-lane `vpunpck` semantics of 256-bit
-/// registers would cost extra permutes for no bandwidth win), and NEON
-/// mirrors it on aarch64. All kernels process whole 16-byte output (pack)
-/// or input (unpack) blocks and leave the remainder to the scalar loops.
-#[allow(unsafe_code)]
-mod simd {
-    use crate::BitWidth;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-    pub(super) fn set_force_scalar(force: bool) {
-        FORCE_SCALAR.store(force, Ordering::Release);
-    }
-
-    /// Whether the SIMD kernels should run: not pinned off, not disabled by
-    /// `MIXQ_FORCE_SCALAR`, and the CPU has the baseline vector ISA.
-    pub(super) fn enabled() -> bool {
-        !FORCE_SCALAR.load(Ordering::Acquire) && detected()
-    }
-
-    fn detected() -> bool {
-        use std::sync::OnceLock;
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            let forced_scalar =
-                std::env::var_os("MIXQ_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-            if forced_scalar {
-                return false;
-            }
-            #[cfg(target_arch = "x86_64")]
-            {
-                is_x86_feature_detected!("sse2")
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                true
-            }
-            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-            {
-                false
-            }
-        })
-    }
-
-    /// Packs as many whole blocks as possible; returns codes consumed.
-    pub(super) fn pack(codes: &[u8], bits: BitWidth, bytes: &mut [u8]) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        return match bits {
-            // SAFETY: SSE2 positively detected in `enabled()`.
-            BitWidth::W4 => unsafe { x86::pack_w4(codes, bytes) },
-            // SAFETY: SSE2 positively detected in `enabled()`.
-            BitWidth::W2 => unsafe { x86::pack_w2(codes, bytes) },
-            BitWidth::W8 => 0,
-        };
-        #[cfg(target_arch = "aarch64")]
-        return match bits {
-            // SAFETY: NEON is baseline on aarch64.
-            BitWidth::W4 => unsafe { neon::pack_w4(codes, bytes) },
-            // SAFETY: NEON is baseline on aarch64.
-            BitWidth::W2 => unsafe { neon::pack_w2(codes, bytes) },
-            BitWidth::W8 => 0,
-        };
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            let _ = (codes, bits, bytes);
-            0
-        }
-    }
-
-    /// Unpacks as many whole blocks as possible; returns codes produced.
-    pub(super) fn unpack(bytes: &[u8], bits: BitWidth, out: &mut [u8]) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        return match bits {
-            // SAFETY: SSE2 positively detected in `enabled()`.
-            BitWidth::W4 => unsafe { x86::unpack_w4(bytes, out) },
-            // SAFETY: SSE2 positively detected in `enabled()`.
-            BitWidth::W2 => unsafe { x86::unpack_w2(bytes, out) },
-            BitWidth::W8 => 0,
-        };
-        #[cfg(target_arch = "aarch64")]
-        return match bits {
-            // SAFETY: NEON is baseline on aarch64.
-            BitWidth::W4 => unsafe { neon::unpack_w4(bytes, out) },
-            // SAFETY: NEON is baseline on aarch64.
-            BitWidth::W2 => unsafe { neon::unpack_w2(bytes, out) },
-            BitWidth::W8 => 0,
-        };
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            let _ = (bytes, bits, out);
-            0
-        }
-    }
-
-    /// A vector block flagged an out-of-range code: rescan it in order so
-    /// the *first* offender trips the same assert the scalar loop uses.
-    pub(super) fn reject_chunk(codes: &[u8], bits: BitWidth) -> ! {
-        let qmax = bits.qmax() as u8;
-        for &code in codes {
-            assert!(
-                code <= qmax,
-                "code {code} exceeds {qmax} for {bits} packing"
-            );
-        }
-        unreachable!("vector validation flagged a chunk with no bad code")
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    mod x86 {
-        use super::super::BitWidth;
-        use std::arch::x86_64::*;
-
-        /// 32 W4 codes → 16 bytes per block: `(v | v≫4) & 0x00FF` folds each
-        /// code pair into its target byte, `packuswb` compacts.
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn pack_w4(codes: &[u8], bytes: &mut [u8]) -> usize {
-            let blocks = codes.len() / 32;
-            let himask = _mm_set1_epi8(0xF0u8 as i8);
-            let lomask = _mm_set1_epi16(0x00FF);
-            let zero = _mm_setzero_si128();
-            for b in 0..blocks {
-                let p = codes.as_ptr().add(b * 32);
-                let v0 = _mm_loadu_si128(p as *const __m128i);
-                let v1 = _mm_loadu_si128(p.add(16) as *const __m128i);
-                let bad = _mm_or_si128(_mm_and_si128(v0, himask), _mm_and_si128(v1, himask));
-                if _mm_movemask_epi8(_mm_cmpeq_epi8(bad, zero)) != 0xFFFF {
-                    super::reject_chunk(&codes[b * 32..b * 32 + 32], BitWidth::W4);
-                }
-                let t0 = _mm_and_si128(_mm_or_si128(v0, _mm_srli_epi16(v0, 4)), lomask);
-                let t1 = _mm_and_si128(_mm_or_si128(v1, _mm_srli_epi16(v1, 4)), lomask);
-                _mm_storeu_si128(
-                    bytes.as_mut_ptr().add(b * 16) as *mut __m128i,
-                    _mm_packus_epi16(t0, t1),
-                );
-            }
-            blocks * 32
-        }
-
-        /// 64 W2 codes → 16 bytes per block: two fold stages (pairs into
-        /// nibbles at u16, nibbles into bytes at u32), then two packs.
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn pack_w2(codes: &[u8], bytes: &mut [u8]) -> usize {
-            let blocks = codes.len() / 64;
-            let himask = _mm_set1_epi8(0xFCu8 as i8);
-            let m16 = _mm_set1_epi16(0x000F);
-            let m32 = _mm_set1_epi32(0x0000_00FF);
-            let zero = _mm_setzero_si128();
-            for b in 0..blocks {
-                let p = codes.as_ptr().add(b * 64);
-                let mut v = [zero; 4];
-                let mut bad = zero;
-                for (j, vj) in v.iter_mut().enumerate() {
-                    *vj = _mm_loadu_si128(p.add(j * 16) as *const __m128i);
-                    bad = _mm_or_si128(bad, _mm_and_si128(*vj, himask));
-                }
-                if _mm_movemask_epi8(_mm_cmpeq_epi8(bad, zero)) != 0xFFFF {
-                    super::reject_chunk(&codes[b * 64..b * 64 + 64], BitWidth::W2);
-                }
-                let mut r = [zero; 4];
-                for (rj, vj) in r.iter_mut().zip(&v) {
-                    let t = _mm_and_si128(_mm_or_si128(*vj, _mm_srli_epi16(*vj, 6)), m16);
-                    *rj = _mm_and_si128(_mm_or_si128(t, _mm_srli_epi32(t, 12)), m32);
-                }
-                // Values are ≤ 255, so both saturating packs are lossless.
-                let lo = _mm_packs_epi32(r[0], r[1]);
-                let hi = _mm_packs_epi32(r[2], r[3]);
-                _mm_storeu_si128(
-                    bytes.as_mut_ptr().add(b * 16) as *mut __m128i,
-                    _mm_packus_epi16(lo, hi),
-                );
-            }
-            blocks * 64
-        }
-
-        /// 16 bytes → 32 W4 codes per block: split nibbles, interleave.
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn unpack_w4(bytes: &[u8], out: &mut [u8]) -> usize {
-            let blocks = out.len() / 32;
-            let mask = _mm_set1_epi8(0x0F);
-            for b in 0..blocks {
-                let v = _mm_loadu_si128(bytes.as_ptr().add(b * 16) as *const __m128i);
-                let lo = _mm_and_si128(v, mask);
-                let hi = _mm_and_si128(_mm_srli_epi16(v, 4), mask);
-                let o = out.as_mut_ptr().add(b * 32);
-                _mm_storeu_si128(o as *mut __m128i, _mm_unpacklo_epi8(lo, hi));
-                _mm_storeu_si128(o.add(16) as *mut __m128i, _mm_unpackhi_epi8(lo, hi));
-            }
-            blocks * 32
-        }
-
-        /// 16 bytes → 64 W2 codes per block: four crumb planes, two
-        /// interleave rounds restore source order.
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn unpack_w2(bytes: &[u8], out: &mut [u8]) -> usize {
-            let blocks = out.len() / 64;
-            let mask = _mm_set1_epi8(0x03);
-            for b in 0..blocks {
-                let v = _mm_loadu_si128(bytes.as_ptr().add(b * 16) as *const __m128i);
-                let b0 = _mm_and_si128(v, mask);
-                let b1 = _mm_and_si128(_mm_srli_epi16(v, 2), mask);
-                let b2 = _mm_and_si128(_mm_srli_epi16(v, 4), mask);
-                let b3 = _mm_and_si128(_mm_srli_epi16(v, 6), mask);
-                let l01 = _mm_unpacklo_epi8(b0, b1);
-                let h01 = _mm_unpackhi_epi8(b0, b1);
-                let l23 = _mm_unpacklo_epi8(b2, b3);
-                let h23 = _mm_unpackhi_epi8(b2, b3);
-                let o = out.as_mut_ptr().add(b * 64);
-                _mm_storeu_si128(o as *mut __m128i, _mm_unpacklo_epi16(l01, l23));
-                _mm_storeu_si128(o.add(16) as *mut __m128i, _mm_unpackhi_epi16(l01, l23));
-                _mm_storeu_si128(o.add(32) as *mut __m128i, _mm_unpacklo_epi16(h01, h23));
-                _mm_storeu_si128(o.add(48) as *mut __m128i, _mm_unpackhi_epi16(h01, h23));
-            }
-            blocks * 64
-        }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    mod neon {
-        use super::super::BitWidth;
-        use std::arch::aarch64::*;
-
-        #[target_feature(enable = "neon")]
-        pub unsafe fn pack_w4(codes: &[u8], bytes: &mut [u8]) -> usize {
-            let blocks = codes.len() / 32;
-            let m = vdupq_n_u16(0x00FF);
-            for b in 0..blocks {
-                let p = codes.as_ptr().add(b * 32);
-                let v0 = vld1q_u8(p);
-                let v1 = vld1q_u8(p.add(16));
-                if vmaxvq_u8(vmaxq_u8(v0, v1)) > 15 {
-                    super::reject_chunk(&codes[b * 32..b * 32 + 32], BitWidth::W4);
-                }
-                let w0 = vreinterpretq_u16_u8(v0);
-                let w1 = vreinterpretq_u16_u8(v1);
-                let t0 = vandq_u16(vorrq_u16(w0, vshrq_n_u16(w0, 4)), m);
-                let t1 = vandq_u16(vorrq_u16(w1, vshrq_n_u16(w1, 4)), m);
-                vst1q_u8(
-                    bytes.as_mut_ptr().add(b * 16),
-                    vcombine_u8(vmovn_u16(t0), vmovn_u16(t1)),
-                );
-            }
-            blocks * 32
-        }
-
-        #[target_feature(enable = "neon")]
-        pub unsafe fn pack_w2(codes: &[u8], bytes: &mut [u8]) -> usize {
-            let blocks = codes.len() / 64;
-            let m16 = vdupq_n_u16(0x000F);
-            let m32 = vdupq_n_u32(0x0000_00FF);
-            for b in 0..blocks {
-                let p = codes.as_ptr().add(b * 64);
-                let v: [uint8x16_t; 4] = [
-                    vld1q_u8(p),
-                    vld1q_u8(p.add(16)),
-                    vld1q_u8(p.add(32)),
-                    vld1q_u8(p.add(48)),
-                ];
-                let peak = vmaxvq_u8(vmaxq_u8(vmaxq_u8(v[0], v[1]), vmaxq_u8(v[2], v[3])));
-                if peak > 3 {
-                    super::reject_chunk(&codes[b * 64..b * 64 + 64], BitWidth::W2);
-                }
-                let mut n = [vdup_n_u16(0); 4];
-                for (nj, vj) in n.iter_mut().zip(&v) {
-                    let w = vreinterpretq_u16_u8(*vj);
-                    let t = vandq_u16(vorrq_u16(w, vshrq_n_u16(w, 6)), m16);
-                    let t32 = vreinterpretq_u32_u16(t);
-                    let r = vandq_u32(vorrq_u32(t32, vshrq_n_u32(t32, 12)), m32);
-                    *nj = vmovn_u32(r);
-                }
-                let b01 = vmovn_u16(vcombine_u16(n[0], n[1]));
-                let b23 = vmovn_u16(vcombine_u16(n[2], n[3]));
-                vst1q_u8(bytes.as_mut_ptr().add(b * 16), vcombine_u8(b01, b23));
-            }
-            blocks * 64
-        }
-
-        #[target_feature(enable = "neon")]
-        pub unsafe fn unpack_w4(bytes: &[u8], out: &mut [u8]) -> usize {
-            let blocks = out.len() / 32;
-            let mask = vdupq_n_u8(0x0F);
-            for b in 0..blocks {
-                let v = vld1q_u8(bytes.as_ptr().add(b * 16));
-                let lo = vandq_u8(v, mask);
-                let hi = vshrq_n_u8(v, 4);
-                let o = out.as_mut_ptr().add(b * 32);
-                vst1q_u8(o, vzip1q_u8(lo, hi));
-                vst1q_u8(o.add(16), vzip2q_u8(lo, hi));
-            }
-            blocks * 32
-        }
-
-        #[target_feature(enable = "neon")]
-        pub unsafe fn unpack_w2(bytes: &[u8], out: &mut [u8]) -> usize {
-            let blocks = out.len() / 64;
-            let mask = vdupq_n_u8(0x03);
-            for b in 0..blocks {
-                let v = vld1q_u8(bytes.as_ptr().add(b * 16));
-                let b0 = vandq_u8(v, mask);
-                let b1 = vandq_u8(vshrq_n_u8(v, 2), mask);
-                let b2 = vandq_u8(vshrq_n_u8(v, 4), mask);
-                let b3 = vshrq_n_u8(v, 6);
-                let l01 = vreinterpretq_u16_u8(vzip1q_u8(b0, b1));
-                let h01 = vreinterpretq_u16_u8(vzip2q_u8(b0, b1));
-                let l23 = vreinterpretq_u16_u8(vzip1q_u8(b2, b3));
-                let h23 = vreinterpretq_u16_u8(vzip2q_u8(b2, b3));
-                let o = out.as_mut_ptr().add(b * 64);
-                vst1q_u8(o, vreinterpretq_u8_u16(vzip1q_u16(l01, l23)));
-                vst1q_u8(o.add(16), vreinterpretq_u8_u16(vzip2q_u16(l01, l23)));
-                vst1q_u8(o.add(32), vreinterpretq_u8_u16(vzip1q_u16(h01, h23)));
-                vst1q_u8(o.add(48), vreinterpretq_u8_u16(vzip2q_u16(h01, h23)));
-            }
-            blocks * 64
-        }
+    for (i, dst) in out.iter_mut().enumerate().skip(whole) {
+        let (byte, offset) = slot(i, bits);
+        *dst = (bytes[byte] >> offset) & mask;
     }
 }
 
@@ -559,24 +274,25 @@ mod tests {
         }
     }
 
-    /// Pure-scalar reference (the pre-SIMD loop verbatim) for cross-checks.
-    fn scalar_pack_ref(codes: &[u8], bits: BitWidth) -> Vec<u8> {
-        let per_byte = 8 / bits.bits() as usize;
+    /// The layout written element by element (LSB-first, `8 / Q` codes
+    /// per byte), independent of the word loops under test.
+    fn reference_pack(codes: &[u8], bits: BitWidth) -> Vec<u8> {
+        let q = bits.bits() as usize;
+        let per_byte = 8 / q;
         let mut bytes = vec![0u8; codes.len().div_ceil(per_byte)];
         for (i, &code) in codes.iter().enumerate() {
-            bytes[i / per_byte] |= code << ((i % per_byte) * bits.bits() as usize);
+            bytes[i / per_byte] |= code << ((i % per_byte) * q);
         }
         bytes
     }
 
     #[test]
-    fn simd_blocks_match_scalar_reference_across_lengths() {
-        // Lengths straddling every block boundary of the 128-bit kernels
-        // (32 codes/block at W4, 64 at W2), plus scalar-tail remainders.
-        for bits in BitWidth::ALL {
-            for n in [
-                0usize, 1, 15, 16, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 1000,
-            ] {
+    fn pack_matches_reference_layout_across_lengths() {
+        // Lengths straddling every W4 pair and W2 8-code word boundary,
+        // with tails of every size.
+        let lengths = (0..=9).chain([15, 16, 17, 31, 32, 33, 63, 64, 65, 1000]);
+        for n in lengths {
+            for bits in BitWidth::ALL {
                 let levels = bits.levels();
                 let codes: Vec<u8> = (0..n)
                     .map(|i| ((i * 2654435761) % levels as usize) as u8)
@@ -584,13 +300,16 @@ mod tests {
                 let packed = PackedTensor::pack(&codes, bits);
                 assert_eq!(
                     packed.as_bytes(),
-                    scalar_pack_ref(&codes, bits).as_slice(),
-                    "{bits} n={n} pack drifted from the scalar layout"
+                    reference_pack(&codes, bits).as_slice(),
+                    "{bits} n={n} pack drifted from the reference layout"
                 );
                 assert_eq!(packed.unpack(), codes, "{bits} n={n} round trip");
                 let mut buf = vec![0u8; n + 3];
                 assert_eq!(packed.unpack_into(&mut buf), n);
                 assert_eq!(&buf[..n], codes.as_slice(), "{bits} n={n} unpack_into");
+                for (i, &c) in codes.iter().enumerate() {
+                    assert_eq!(packed.get(i), c, "{bits} n={n} get({i})");
+                }
             }
         }
     }
@@ -649,9 +368,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "code 16 exceeds 15")]
-    fn overflowing_code_inside_simd_block_panics() {
-        // Offender deep inside a full vector block: the rescan must raise
-        // the same first-bad-code assert the scalar loop would.
+    fn overflowing_w4_code_in_whole_bytes_panics() {
+        // Offender deep inside the whole-byte loop: the rescan must raise
+        // the same first-bad-code assert.
         let mut codes = vec![1u8; 64];
         codes[40] = 16;
         let _ = PackedTensor::pack(&codes, BitWidth::W4);
@@ -659,9 +378,36 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "code 9 exceeds 3")]
-    fn overflowing_w2_code_inside_simd_block_panics() {
+    fn overflowing_w2_code_in_whole_words_panics() {
         let mut codes = vec![2u8; 130];
         codes[70] = 9;
+        let _ = PackedTensor::pack(&codes, BitWidth::W2);
+    }
+
+    #[test]
+    #[should_panic(expected = "code 17 exceeds 15")]
+    fn overflowing_w4_code_in_tail_panics() {
+        let mut codes = vec![3u8; 33];
+        codes[32] = 17;
+        let _ = PackedTensor::pack(&codes, BitWidth::W4);
+    }
+
+    #[test]
+    #[should_panic(expected = "code 5 exceeds 3")]
+    fn overflowing_w2_code_in_tail_panics() {
+        let mut codes = vec![1u8; 15];
+        codes[14] = 5;
+        let _ = PackedTensor::pack(&codes, BitWidth::W2);
+    }
+
+    #[test]
+    #[should_panic(expected = "code 4 exceeds 3")]
+    fn first_of_two_overflowing_codes_is_reported() {
+        // The later offender is larger and sits in the tail; the rescan
+        // still reports the earlier one.
+        let mut codes = vec![0u8; 21];
+        codes[5] = 4;
+        codes[20] = 255;
         let _ = PackedTensor::pack(&codes, BitWidth::W2);
     }
 

@@ -266,9 +266,8 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
     let base_cycles = model.cycles_from_counts(&base_ops);
     assert!(base_cycles > 0);
     // Sweep every SIMD level the host can express (each one routes the
-    // blocked GEMM through the vectorized requantization epilogue and the
-    // SIMD sub-byte pack/unpack): codes, ledger and modeled cycles must
-    // never move.
+    // blocked GEMM through the vectorized requantization epilogue): codes,
+    // ledger and modeled cycles must never move.
     let mut settings: Vec<Option<SimdLevel>> = vec![None];
     for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
         if level.available() {

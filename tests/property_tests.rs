@@ -306,6 +306,14 @@ proptest! {
         let mask = bits.qmax() as u8;
         let codes: Vec<u8> = raw.iter().map(|v| v & mask).collect();
         let packed = PackedTensor::pack(&codes, bits);
+        // The layout written element by element (LSB-first, 8/Q codes per
+        // byte): a consistently wrong layout would still round-trip.
+        let q = bits.bits() as usize;
+        let mut layout = vec![0u8; bits.bytes_for(codes.len())];
+        for (i, &c) in codes.iter().enumerate() {
+            layout[i * q / 8] |= c << (i * q % 8);
+        }
+        prop_assert_eq!(packed.as_bytes(), layout.as_slice());
         prop_assert_eq!(packed.unpack(), codes.clone());
         prop_assert_eq!(packed.byte_len(), bits.bytes_for(codes.len()));
         for (i, &c) in codes.iter().enumerate() {
